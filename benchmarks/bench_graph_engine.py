@@ -4,22 +4,21 @@ Times :class:`repro.netsim.graph.GraphSimulatorVec` on synthetic
 degree-calibrated topologies (Bitcoin's 8 outbound peers plus a Pareto
 tail, per the measured degree skew) over a 400-step attack scenario
 and writes ``BENCH_graph.json`` — the committed perf record for the
-CSR engine.  Each entry records the node count, edge count, reconcile
-kernel, RNG protocol, wall time, steps/sec, the per-phase split
-(mine / communicate / collect) and the communicate sub-phases
-(draw / reconcile / adopt, plus queue on delayed graphs) from
-:class:`repro.parallel.PhaseTimingCollector`.
+CSR engine.  Each entry records the node count, edge count, RNG
+protocol, wall time, steps/sec, the per-phase split (mine /
+communicate / collect) and the communicate sub-phases (draw /
+reconcile / adopt, plus queue on delayed graphs) from
+:class:`repro.parallel.PhaseTimingCollector`; the document's ``env``
+block records the machine and interpreter.
 
 Tiers:
 
-- the default sizes (10^3-10^5) time **both** reconcile kernels —
-  ``edge`` (the default batched kernel) and ``scatter`` (the
-  historical allocating dataflow, kept as the bit-identical baseline);
-- the 10^6-node tier runs the production configuration only
-  (``kernel="edge"``, ``rng_protocol=2`` — the versioned fast-draw
-  stream) and is RAM-guarded: it is skipped, with a note, when
-  ``/proc/meminfo`` reports less than :data:`HUGE_MIN_AVAILABLE_GB`
-  available.  ``--no-huge`` skips it unconditionally.
+- the default sizes (10^3-10^5) run RNG protocol 1;
+- the 10^6-node tier runs the production configuration
+  (``rng_protocol=2`` — the versioned fast-draw stream) and is
+  RAM-guarded: it is skipped, with a note, when ``/proc/meminfo``
+  reports less than :data:`HUGE_MIN_AVAILABLE_GB` available.
+  ``--no-huge`` skips it unconditionally.
 
 Regression floor: ``--floor-against BENCH_graph.json`` compares each
 timed tier's steps/sec against the committed record by benchmark name
@@ -41,6 +40,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
+from machine import machine_facts
 from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 from repro.parallel import PhaseTimingCollector
 
@@ -84,19 +84,17 @@ def time_graph_engine(
     num_nodes: int,
     steps: int,
     seed: int,
-    kernel: str = "edge",
     rng_protocol: int = 1,
 ) -> Dict[str, object]:
     """One timed run; returns the BENCH record for the configuration."""
     build_start = time.perf_counter()
     config = _scenario(num_nodes, seed, rng_protocol=rng_protocol)
     phases = PhaseTimingCollector()
-    sim = GraphSimulatorVec(config, phase_metrics=phases, kernel=kernel)
+    sim = GraphSimulatorVec(config, phase_metrics=phases)
     build_seconds = time.perf_counter() - build_start
     start = time.perf_counter()
     sim.run(steps)
     seconds = time.perf_counter() - start
-    suffix = "" if kernel == "edge" else f"-{kernel}"
     phase_seconds = {
         phase: entry["seconds"] for phase, entry in phases.summary().items()
     }
@@ -105,9 +103,8 @@ def time_graph_engine(
         s for phase, s in phase_seconds.items() if "." not in phase
     )
     return {
-        "name": f"graph-n{num_nodes}{suffix}",
+        "name": f"graph-n{num_nodes}",
         "engine": "graph",
-        "kernel": kernel,
         "rng_protocol": rng_protocol,
         "nodes": num_nodes,
         "edges": config.spec.num_edges,
@@ -128,23 +125,16 @@ def run_benchmarks(
     steps: int,
     seed: int = 0,
     huge: bool = True,
-    kernels: bool = True,
 ) -> Dict[str, object]:
     """Time the graph engine at every size; returns the BENCH document.
 
-    ``kernels=True`` adds a ``scatter``-kernel run per default-tier
-    size (the per-kernel communicate comparison); ``huge=True``
-    appends the RAM-guarded 10^6 tier in its production configuration
-    (edge kernel, RNG protocol 2).
+    ``huge=True`` appends the RAM-guarded 10^6 tier in its production
+    configuration (RNG protocol 2).
     """
     records: List[Dict[str, object]] = []
     skipped: List[str] = []
     for num_nodes in sizes:
         records.append(time_graph_engine(num_nodes, steps, seed))
-        if kernels:
-            records.append(
-                time_graph_engine(num_nodes, steps, seed, kernel="scatter")
-            )
     if huge:
         ram = available_ram_gb()
         if ram is not None and ram < HUGE_MIN_AVAILABLE_GB:
@@ -161,6 +151,7 @@ def run_benchmarks(
         "scenario": "figure7-attack-synthetic",
         "steps": steps,
         "seed": seed,
+        "env": machine_facts(),
         "benchmarks": records,
     }
     if skipped:
@@ -235,17 +226,18 @@ def test_graph_engine_benchmark(benchmark, tmp_path):
     write_bench_json(document, str(out))
     print()
     print(_render(document))
-    edge, scatter = document["benchmarks"]
-    assert edge["kernel"] == "edge" and scatter["kernel"] == "scatter"
-    for record in (edge, scatter):
-        assert record["stats"]["wall_seconds"] > 0
-        assert record["forks_seen"] >= 1
-        assert {"mine", "communicate", "collect"} <= set(record["phases"])
-        assert {
-            "communicate.draw",
-            "communicate.reconcile",
-            "communicate.adopt",
-        } <= set(record["phases"])
+    (record,) = document["benchmarks"]
+    assert record["stats"]["wall_seconds"] > 0
+    assert record["forks_seen"] >= 1
+    assert {"mine", "communicate", "collect"} <= set(record["phases"])
+    assert {
+        "communicate.draw",
+        "communicate.reconcile",
+        "communicate.adopt",
+    } <= set(record["phases"])
+    assert {"python", "numpy", "nproc", "cpu_model", "platform"} <= set(
+        document["env"]
+    )
 
 
 def main(argv=None) -> int:
@@ -257,10 +249,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-huge", action="store_true",
         help=f"skip the {HUGE_SIZE}-node tier (default: run it, RAM-guarded)",
-    )
-    parser.add_argument(
-        "--no-kernels", action="store_true",
-        help="skip the per-size scatter-kernel comparison runs",
     )
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     parser.add_argument("--seed", type=int, default=0)
@@ -280,7 +268,6 @@ def main(argv=None) -> int:
         args.steps,
         args.seed,
         huge=not args.no_huge,
-        kernels=not args.no_kernels,
     )
     write_bench_json(document, args.out)
     print(_render(document))

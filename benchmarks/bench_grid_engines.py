@@ -3,9 +3,12 @@
 Times both grid engines over the Figure 7 scenario at several sizes
 and writes ``BENCH_netsim.json`` — the repo's netsim perf record, so
 future optimizations are measured against a persisted baseline instead
-of anecdotes.  Each entry records the engine, grid size, wall time,
-steps/sec, and the per-phase split (mine / communicate / collect) from
-:class:`repro.parallel.PhaseTimingCollector`.
+of anecdotes.  The ``vec`` rows time ``make_simulator(engine="vec")``,
+i.e. the graph engine on the grid bridge.  Each entry records the
+engine, grid size, wall time, steps/sec, and the per-phase split
+(mine / communicate / collect) from
+:class:`repro.parallel.PhaseTimingCollector`; the document's ``env``
+block records the machine and interpreter.
 
 Standalone (writes the full trajectory; used by the CI perf-smoke job
 at size 15 and by releases at the documented sizes)::
@@ -23,6 +26,7 @@ import json
 import time
 from typing import Dict, List
 
+from machine import machine_facts
 from repro.netsim.grid import GridConfig, make_simulator
 from repro.parallel import PhaseTimingCollector
 
@@ -98,6 +102,7 @@ def run_benchmarks(
         "scenario": "figure7-attack",
         "steps": steps,
         "seed": seed,
+        "env": machine_facts(),
         "seed_reference_seconds": {
             str(size): secs
             for size, secs in SEED_REFERENCE_SECONDS.items()

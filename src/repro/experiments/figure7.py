@@ -45,10 +45,12 @@ def run_simulation(
 ) -> Tuple[Any, Dict[int, Dict[str, float]]]:
     """Run the Figure 7 scenario; returns (sim, step -> fork fractions).
 
-    ``engine`` selects the grid engine (``"auto"``/``"scalar"``/``"vec"``,
-    see :func:`repro.netsim.grid.make_simulator`).  The published panel
-    sizes (15 and 25) resolve to the scalar engine under ``"auto"``, so
-    default outputs are bit-identical to the original implementation.
+    ``engine`` selects the engine (``"auto"``/``"scalar"``/``"vec"``/
+    ``"graph"``, see :func:`repro.netsim.grid.make_simulator`; ``"vec"``
+    and ``"graph"`` both run the grid on the graph engine's grid
+    bridge).  The published panel sizes (15 and 25) resolve to the
+    scalar engine under ``"auto"``, so default outputs are
+    bit-identical to the original implementation.
     ``delay_model`` names a calibrated propagation-delay model
     (:data:`repro.netsim.latency.DELAY_MODELS`); it requires the graph
     engine, which carries the sampled per-edge tick delays.

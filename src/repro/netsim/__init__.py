@@ -32,7 +32,6 @@ from .grid import (
     ENGINES,
     GridConfig,
     GridSimulator,
-    GridSimulatorVec,
     GridSnapshot,
     VEC_SIZE_THRESHOLD,
     make_simulator,
@@ -67,7 +66,6 @@ __all__ = [
     "graph_config_from_grid",
     "hijack_partition_mask",
     "GridSimulator",
-    "GridSimulatorVec",
     "GridConfig",
     "GridSnapshot",
     "VEC_SIZE_THRESHOLD",

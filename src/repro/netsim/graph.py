@@ -1,30 +1,34 @@
 """Sparse-graph (CSR) propagation engine for arbitrary topologies.
 
-:class:`GraphSimulatorVec` generalizes the vectorized grid engine's
-synchronous push+pull scatter-max reconcile (see
-:mod:`repro.netsim.grid`) from the fixed ``(N, 8)`` Moore neighbourhood
-to compressed-sparse-row adjacency: ``indptr``/``indices`` arrays
-describing an *arbitrary* directed graph, with optional per-edge delay
-ticks.  Mining, fork bookkeeping, and the per-step phase structure are
-shared with the grid engines through ``_GridEngineBase`` /
-``_VecEngineBase``, so the same physics (Bernoulli block production,
-honest/attacker hash-rate split, natural forks, longest-chain
-adoption) runs on any topology the paper cares about — the square
-grid, AS-level graphs built from :mod:`repro.topology`, or synthetic
-degree-calibrated networks at 10^5-10^6 nodes.
+:class:`GraphSimulatorVec` is the repository's one vectorized engine.
+State lives in flat NumPy arrays (fork id and height per node); each
+step's failure mask, neighbour choice, and height-compare/adopt
+reconcile are array kernels over compressed-sparse-row adjacency:
+``indptr``/``indices`` arrays describing an *arbitrary* directed graph,
+with optional per-edge delay ticks.  Mining, fork bookkeeping, and the
+per-step phase structure are shared with the scalar grid engine
+through ``_GridEngineBase``, so the same physics (Bernoulli block
+production, honest/attacker hash-rate split, natural forks,
+longest-chain adoption) runs on any topology the paper cares about —
+the square grid, AS-level graphs built from :mod:`repro.topology`, or
+synthetic degree-calibrated networks at 10^5-10^6 nodes.
 
-Graph RNG protocol (``GraphSimulatorVec``): all draws come from the
-NumPy generator of the stream named by ``GraphSpec.rng_stream``
-(default ``"graph.vec"``).  Per step, the scalar mining draws happen
-in exactly the vectorized grid engine's order (see the grid module
-docstring); the communication phase then draws one length-N uniform
-vector (failure mask) and one length-N neighbour-choice vector:
-``integers(0, d, size=N)`` when every node has the same out-degree
-``d`` (the degree-regular fast path), else ``integers(0, degrees)``
-with the per-node degree as the bound (degree-0 nodes draw a dummy and
-are masked out).  The protocol depends only on ``(config, step)``,
-never on worker count or host, so graph runs are deterministic per
-seed and identical under any ``jobs=N`` fan-out.
+Graph RNG protocol: all draws come from the NumPy generator of the
+stream named by ``GraphSpec.rng_stream`` (default ``"graph.vec"``).
+Per step, in order: one uniform for the honest-mining gate; one
+uniform for the attacker gate when the attack is live; inside an
+honest mine, one uniform for the natural-fork gate (when honest nodes
+exist), one ``integers`` draw to pick the stale miner or per-guard
+seed-node draws (a row/column ``integers`` pair on a bridged grid, one
+node ``integers`` otherwise); then the communication phase draws one
+length-N uniform vector (failure mask) and one length-N
+neighbour-choice vector: ``integers(0, d, size=N)`` when every node has
+the same out-degree ``d`` (the degree-regular fast path), else
+``integers(0, degrees)`` with the per-node degree as the bound
+(degree-0 nodes draw a dummy and are masked out).  The protocol
+depends only on ``(config, step)``, never on worker count or host, so
+graph runs are deterministic per seed and identical under any
+``jobs=N`` fan-out.
 
 RNG protocol v2 (``GraphSpec.rng_protocol = 2``): the communication
 draws above are the protocol-1 cost floor — ``Generator.integers``
@@ -50,27 +54,31 @@ draws.  The two protocols agree statistically (pinned by the
 equivalence tests), not draw-by-draw.  The grid bridge
 (``grid_size``) requires protocol 1.
 
-Reconcile kernels: ``GraphSimulatorVec(config, kernel="edge")`` (the
-default) runs the edge-parallel batched reconcile — offers are
+The reconcile kernel is edge-parallel and batched: every node's offer
+is encoded as ``(height << source_bits) | (N - 1 - source)`` (see
+:func:`offer_source_bits`), so one max-reduce resolves the height
+compare *and* the lowest-source tie-break; offers are
 destination-grouped through one indexed max-reduce pass over the
 step's contact batch, with every intermediate (failure mask, partner
 gather, offer codes, best-offer table, adoption mask) written into
-preallocated buffers, and offer codes adaptively rebased to int32 when
-the step's height spread fits (halving gather/scatter traffic).
-``kernel="scatter"`` preserves the historical allocating scatter-max
-dataflow as a benchmark baseline.  Both kernels consume identical
-draws and produce bit-identical trajectories (pinned by the
-cross-kernel suite); an explicit argsort/segment-reduce variant was
-benchmarked ~30x slower than the indexed max-reduce on NumPy >= 2.x
-and rejected.
+preallocated buffers, and offer codes adaptively rebased to int32
+when the step's height spread fits (halving gather/scatter traffic).
+Every node sees all offers made in its step (its partner's view, plus
+every node that chose it as partner) and adopts the greatest height,
+ties toward the lowest source index.  Its trajectories are
+bit-identical to the historical allocating scatter-max kernel it
+replaced (pinned against that kernel's frozen trajectories); an
+explicit argsort/segment-reduce variant was benchmarked ~30x slower
+than the indexed max-reduce on NumPy >= 2.x and rejected.
 
-Exact-equivalence bridge: :meth:`GraphSpec.from_grid` emits the Moore
-neighbourhood as CSR *in the grid engine's neighbour order* and pins
-``rng_stream="grid.vec"`` plus ``grid_size`` (so honest-seed cells are
-drawn as the grid's row/column pair).  A bridged grid therefore
-replays the vectorized grid engine's draw sequence bit-for-bit: every
-snapshot matches :class:`~repro.netsim.grid.GridSimulatorVec` exactly
-(pinned by ``tests/netsim/test_graph_vec.py``).
+Grid bridge: :meth:`GraphSpec.from_grid` emits the toroidal Moore
+neighbourhood as CSR *in the scalar grid engine's neighbour order* and
+pins ``rng_stream="grid.vec"`` plus ``grid_size`` (so honest-seed cells
+are drawn as a row/column pair).  This is how ``engine="vec"`` runs a
+grid; it replays the retired vectorized grid engine's draw sequence
+bit-for-bit (pinned against that engine's frozen trajectories by
+``tests/netsim/test_graph_vec.py``).  Observation views stay flat, in
+node (row-major cell) order.
 
 Per-edge delays: an edge with delay ``d > 0`` delivers both the pull
 offer (the partner's view to the chooser) and the push offer (the
@@ -83,42 +91,30 @@ queued offers can only tie when they carry the same ``(height,
 source)``, and a node's label cannot change without its height
 changing, so tied offers always carry the same label (pinned by the
 maturation-permutation property test).  Delay 0 (the default) is the
-grid engines' same-step semantics.
-
-The edge kernel stores queued offers in a preallocated flat store of
-arrays (destination, source, height, label, arrival step), appended
-per step and compacted on maturation, so delivery is one vectorized
-merge; the total queue is bounded by ``2 * N * max_delay`` entries
-(pinned under Hypothesis).  The scatter kernel keeps the historical
-dict-of-batches queue.
+scalar grid engine's same-step semantics.  Queued offers live in a
+preallocated flat store of arrays (destination, source, height, label,
+arrival step), appended per step and compacted on maturation, so
+delivery is one vectorized merge; the total queue is bounded by
+``2 * N * max_delay`` entries (pinned under Hypothesis).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..rng import RngStreams
-from .grid import (
-    GridConfig,
-    GridSimulatorVec,
-    OFFER_DTYPE,
-    OFFER_HEIGHT_HEADROOM,
-    _VecEngineBase,
-    offer_source_bits,
-    span_ratio_delay,
-)
+from .grid import ForkChain, GridConfig, _GridEngineBase, span_ratio_delay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel.metrics import PhaseTimingCollector
     from .latency import EmpiricalLatency
 
 __all__ = [
-    "GRAPH_KERNELS",
     "GraphSpec",
     "GraphConfig",
     "GraphSnapshot",
@@ -126,16 +122,41 @@ __all__ = [
     "graph_config_from_grid",
     "hijack_partition_mask",
     "offer_height_bound",
+    "offer_source_bits",
 ]
 
-#: Accepted reconcile kernels: ``"edge"`` is the buffered edge-parallel
-#: batched reconcile (the default), ``"scatter"`` the historical
-#: allocating scatter-max, kept as a bit-identical benchmark baseline.
-GRAPH_KERNELS = ("edge", "scatter")
+#: Dtype the engine carries heights and encoded offers in.  The
+#: max-reduce reconcile packs ``(height, source)`` into a single integer
+#: ``(height << source_bits) | (N - 1 - source)`` (see
+#: :func:`offer_source_bits`), so this dtype bounds how far a
+#: simulation can mine before the code overflows.
+OFFER_DTYPE = np.int64
+
+#: Mined-height headroom every topology must leave in the offer
+#: encoding; :class:`GraphSpec` refuses node counts that could not mine
+#: this many blocks without overflowing.
+OFFER_HEIGHT_HEADROOM = 1 << 20
 
 #: Accepted ``GraphSpec.rng_protocol`` values (see the module
 #: docstring; 2 is the versioned fast-draw stream).
 RNG_PROTOCOLS = (1, 2)
+
+
+def offer_source_bits(num_nodes: int) -> int:
+    """Bits the offer encoding reserves for the reversed source index.
+
+    Offers pack ``(height, source)`` as
+    ``(height << bits) | (num_nodes - 1 - source)`` — a shift/mask
+    compression of the historical ``height * N + (N - 1 - source)``
+    multiply encode.  Both encodings are strictly monotone in the
+    ``(height, N - 1 - source)`` lexicographic order, so the max-reduce
+    reconcile picks the same winner (greatest height, ties toward the
+    lowest source index) under either; the shift form decodes with a
+    shift and a mask instead of a division and a modulo.
+    """
+    if num_nodes <= 1:
+        return 1
+    return int(num_nodes - 1).bit_length()
 
 
 def offer_height_bound(num_nodes: int) -> int:
@@ -171,10 +192,10 @@ class GraphSpec:
             draw indexes into it.
         edge_delays: Optional per-edge delay ticks (same length as
             ``indices``, non-negative).  ``None`` means every edge
-            delivers in the same step, like the grid engines.
+            delivers in the same step, like the scalar grid engine.
         grid_size: Set by :meth:`from_grid` — honest-seed cells are
-            then drawn as a (row, column) pair, replaying the grid
-            engines' two-draw protocol exactly.
+            then drawn as a (row, column) pair, replaying the grid's
+            two-draw seed-cell protocol exactly.
         rng_stream: Name of the NumPy stream the engine draws from
             (``"graph.vec"``; the grid bridge pins ``"grid.vec"``).
         node_ids: Optional external identity per node (e.g. ASNs for
@@ -293,14 +314,19 @@ class GraphSpec:
     def from_grid(cls, size: int) -> "GraphSpec":
         """The toroidal Moore-neighbourhood grid as CSR.
 
-        Rows keep the grid engine's (dr, dc) neighbour enumeration
-        order and the spec pins ``rng_stream="grid.vec"`` and
-        ``grid_size``, making a bridged run bit-identical to
-        :class:`~repro.netsim.grid.GridSimulatorVec`.
+        Rows keep the scalar grid engine's (dr, dc) neighbour
+        enumeration order, and the spec pins ``rng_stream="grid.vec"``
+        and ``grid_size``: the bridge that runs ``engine="vec"`` grids.
         """
         if size < 2:
             raise ConfigurationError("grid size must be >= 2", size=size)
-        matrix = GridSimulatorVec._build_neighbor_matrix(size)
+        rows = np.arange(size).repeat(size)
+        cols = np.tile(np.arange(size), size)
+        offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+        matrix = np.stack(
+            [((rows + dr) % size) * size + ((cols + dc) % size) for dr, dc in offsets],
+            axis=1,
+        )
         num_nodes = size * size
         return cls(
             indptr=np.arange(num_nodes + 1, dtype=np.int64) * 8,
@@ -795,17 +821,17 @@ class _DelayedOfferStore:
         return matured
 
 
-class GraphSimulatorVec(_VecEngineBase):
+class GraphSimulatorVec(_GridEngineBase):
     """CSR sparse-adjacency propagation engine.
 
-    Mining, fork bookkeeping, and the max-reduce reconcile semantics
-    are shared with :class:`~repro.netsim.grid.GridSimulatorVec`
-    through the engine bases; this class supplies CSR partner
-    selection (see the module docstring for the neighbour-choice
-    protocols), the reconcile kernels (``kernel="edge"`` — buffered
-    edge-parallel batched reconcile, the default — or ``"scatter"``,
-    the historical allocating baseline; bit-identical), the
-    delayed-offer queue, and flat observation views.
+    Mining and fork bookkeeping are shared with the scalar
+    :class:`~repro.netsim.grid.GridSimulator` through
+    ``_GridEngineBase``; this class supplies the array cell state (fork
+    id and height per node; fork ids index a small per-fork table of
+    labels and counterfeit flags, so label decoding never walks the
+    registry), CSR partner selection (see the module docstring for the
+    neighbour-choice protocols), the edge-parallel reconcile kernel,
+    the delayed-offer queue, and flat observation views.
     """
 
     #: Running upper bound on the global chain height.  Heights only
@@ -817,37 +843,44 @@ class GraphSimulatorVec(_VecEngineBase):
     #: Whether ``_code32`` / ``_h32`` currently mirror
     #: ``(hgt << bits) | rev`` and ``hgt`` with base 0.  Maintained
     #: incrementally at the height-mutation sites (``_set_cell`` and
-    #: the edge kernel's adopt commit) so the reconcile's full
-    #: re-encode pass is skipped on steady steps and the adoption mask
-    #: is an int32 compare.
+    #: the adopt commit) so the reconcile's full re-encode pass is
+    #: skipped on steady steps and the adoption mask is an int32
+    #: compare.
     _codes_valid = False
 
     def __init__(
         self,
         config: GraphConfig,
         phase_metrics: Optional["PhaseTimingCollector"] = None,
-        kernel: str = "edge",
     ) -> None:
-        if kernel not in GRAPH_KERNELS:
-            raise ConfigurationError(
-                "unknown reconcile kernel", kernel=kernel, choices=GRAPH_KERNELS
-            )
         spec = config.spec
         self.spec = spec
         #: The unpartitioned topology; timeline partition events derive
         #: the active edge set from it (see ``_apply_partition_fraction``).
         self._base_spec = spec
-        self.kernel = kernel
         self._protocol = spec.rng_protocol
         # The stream name is part of the spec so the grid bridge can
-        # replay the "grid.vec" draw sequence; set it before the base
-        # constructs the generator.  Protocol 2 draws a different
-        # sequence, so it gets an explicitly versioned stream name.
+        # replay the "grid.vec" draw sequence.  Protocol 2 draws a
+        # different sequence, so it gets an explicitly versioned name.
         self.RNG_STREAM = (
             spec.rng_stream if self._protocol == 1 else spec.rng_stream + ".p2"
         )
+        # Fork-id tables must exist before the base registers fork A.
+        self._fork_ids: Dict[str, int] = {}
+        self._id_labels: List[str] = []
+        # A + 24 natural labels + B: at most len(_LABELS) + 1 ids ever.
+        self._counterfeit_ids = np.zeros(len(self._LABELS) + 1, dtype=bool)
         super().__init__(config, phase_metrics)
-        num_nodes = self._num_nodes
+        self._rng = self.streams.numpy_stream(self.RNG_STREAM)
+        num_nodes = config.num_nodes
+        self._num_nodes = num_nodes
+        self._lab = np.zeros(num_nodes, dtype=np.int16)
+        self._hgt = np.zeros(num_nodes, dtype=OFFER_DTYPE)
+        self._src_bits = offer_source_bits(num_nodes)
+        self._src_mask = (1 << self._src_bits) - 1
+        # Reversed source ids: the low bits of every node's offer code.
+        self._rev_ids = np.arange(num_nodes - 1, -1, -1, dtype=OFFER_DTYPE)
+        self._honest_cells_cache: Optional[np.ndarray] = None
         # Whether this run carries per-edge delays at all.  Decided
         # once from the base spec: a partition may cut every delayed
         # edge, but in-flight offers still mature, so the delay
@@ -862,9 +895,8 @@ class GraphSimulatorVec(_VecEngineBase):
         compact = max(num_nodes, spec.num_edges) < 2**31
         itype = np.int32 if compact else np.int64
         self._itype = itype
-        # Communication buffers, reused every step (both kernels share
-        # the draw buffers; the code/best/adopt buffers serve the edge
-        # kernel).  All are node-sized, so they survive edge reloads.
+        # Communication buffers, reused every step.  All are
+        # node-sized, so they survive edge reloads.
         self._ok_buf = np.empty(num_nodes, dtype=bool)
         self._partner_buf = np.empty(num_nodes, dtype=itype)
         if self._protocol == 2:
@@ -874,21 +906,20 @@ class GraphSimulatorVec(_VecEngineBase):
             self._edge_buf = np.empty(num_nodes, dtype=itype)
         else:
             self._u1 = np.empty(num_nodes, dtype=np.float64)
-        if kernel == "edge":
-            self._code64 = np.empty(num_nodes, dtype=OFFER_DTYPE)
-            self._best64 = np.empty(num_nodes, dtype=OFFER_DTYPE)
-            self._adopt_buf = np.empty(num_nodes, dtype=bool)
-            self._push_buf = np.empty(num_nodes, dtype=bool)
-            self._use32 = compact and self._src_bits < 31
-            if self._use32:
-                self._h32 = np.empty(num_nodes, dtype=np.int32)
-                self._code32 = np.empty(num_nodes, dtype=np.int32)
-                self._best32 = np.empty(num_nodes, dtype=np.int32)
-                self._d32 = np.empty(num_nodes, dtype=np.int32)
-                self._rev32 = self._rev_ids.astype(np.int32)
-                # Largest per-step height spread the rebased int32
-                # code can carry.
-                self._spread_cap32 = (1 << (31 - self._src_bits)) - 1
+        self._code64 = np.empty(num_nodes, dtype=OFFER_DTYPE)
+        self._best64 = np.empty(num_nodes, dtype=OFFER_DTYPE)
+        self._adopt_buf = np.empty(num_nodes, dtype=bool)
+        self._push_buf = np.empty(num_nodes, dtype=bool)
+        self._use32 = compact and self._src_bits < 31
+        if self._use32:
+            self._h32 = np.empty(num_nodes, dtype=np.int32)
+            self._code32 = np.empty(num_nodes, dtype=np.int32)
+            self._best32 = np.empty(num_nodes, dtype=np.int32)
+            self._d32 = np.empty(num_nodes, dtype=np.int32)
+            self._rev32 = self._rev_ids.astype(np.int32)
+            # Largest per-step height spread the rebased int32 code
+            # can carry.
+            self._spread_cap32 = (1 << (31 - self._src_bits)) - 1
         if self._has_delay_path:
             self._delay_buf = np.empty(num_nodes, dtype=itype)
             self._delayed_buf = np.empty(num_nodes, dtype=bool)
@@ -898,9 +929,6 @@ class GraphSimulatorVec(_VecEngineBase):
                 itype, bound=2 * num_nodes * max_delay
             )
         self._load_spec_edges(spec)
-        # arrival step -> [(dest, src, height-at-send, label-at-send)]
-        # (the scatter kernel's historical queue)
-        self._pending: Dict[int, List[Tuple[np.ndarray, ...]]] = {}
 
     def _load_spec_edges(self, spec: GraphSpec) -> None:
         """(Re)load every edge-dependent array from ``spec``.
@@ -984,8 +1012,27 @@ class GraphSimulatorVec(_VecEngineBase):
     def _attacker_index(self, config) -> int:
         return config.attacker_node
 
+    def _on_fork_registered(self, fork: ForkChain) -> None:
+        fid = self._fork_ids.get(fork.label)
+        if fid is None:
+            fid = len(self._id_labels)
+            self._fork_ids[fork.label] = fid
+            self._id_labels.append(fork.label)
+        # Recycled labels reuse their id; the flag tracks the new fork.
+        self._counterfeit_ids[fid] = fork.counterfeit
+
+    def _rand_below(self, upper: int) -> int:
+        return int(self._rng.integers(upper))
+
+    def _label_at(self, idx: int) -> str:
+        return self._id_labels[int(self._lab[idx])]
+
+    def _height_at(self, idx: int) -> int:
+        return int(self._hgt[idx])
+
     def _set_cell(self, idx: int, label: str, height: int) -> None:
-        super()._set_cell(idx, label, height)
+        self._lab[idx] = self._fork_ids[label]
+        self._hgt[idx] = height
         if height > self._hmax_track:
             self._hmax_track = height
         if self._codes_valid:
@@ -1006,6 +1053,36 @@ class GraphSimulatorVec(_VecEngineBase):
             return row * grid_size + col
         return self._rand_below(self._num_nodes)
 
+    def _honest_count(self) -> int:
+        honest = ~self._counterfeit_ids[self._lab]
+        honest[self._attacker_idx] = False
+        self._honest_cells_cache = np.flatnonzero(honest)
+        return int(self._honest_cells_cache.size)
+
+    def _honest_cell_at(self, k: int) -> int:
+        return int(self._honest_cells_cache[k])
+
+    def _holder_cells(self, fork: ForkChain) -> List[int]:
+        fid = self._fork_ids[fork.label]
+        holders = np.flatnonzero(self._lab == fid)
+        holders = holders[holders != self._attacker_idx]
+        k = self.HONEST_SEED_CELLS
+        if holders.size > k:
+            # Top nodes by height, ties toward the lowest node index:
+            # the offer code (height << bits | reversed index) orders
+            # exactly that way, so a bounded argpartition selects the
+            # same nodes the historical full lexsort did without
+            # sorting all holders.
+            codes = (self._hgt[holders] << self._src_bits) | self._rev_ids[holders]
+            top = np.argpartition(codes, holders.size - k)[holders.size - k :]
+            top = top[np.argsort(-codes[top], kind="stable")]
+            holders = holders[top]
+        return [int(idx) for idx in holders]  # repro-lint: disable=RPL311 holders is sliced to HONEST_SEED_CELLS (3) above
+
+    def _live_labels(self) -> Set[str]:
+        counts = np.bincount(self._lab, minlength=len(self._id_labels))
+        return {self._id_labels[i] for i in np.flatnonzero(counts)}  # repro-lint: disable=RPL311 label-count scale (few dozen forks), not node scale
+
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
@@ -1016,12 +1093,17 @@ class GraphSimulatorVec(_VecEngineBase):
         return self._rng.integers(0, self._choice_high)
 
     def _communicate(self) -> None:
-        """One synchronous CSR communication step.
+        """One synchronous CSR communication step (the reconcile kernel).
 
-        Dispatches to the configured reconcile kernel; when a phase
-        collector is attached, the kernel reports its sub-phases
-        (``communicate.draw`` / ``.queue`` / ``.reconcile`` /
-        ``.adopt``) so regressions localize to the stage that moved.
+        The step's offers (pull: the chosen partner's view; push: the
+        chooser's view to its partner) are destination-grouped through
+        a single indexed max-reduce pass over compressed offer codes;
+        every intermediate lives in a buffer allocated once in
+        ``__init__``.  Matured delayed offers join the same batch, so
+        delivery is one merge.  When a phase collector is attached, the
+        step reports its sub-phases (``communicate.draw`` / ``.queue``
+        / ``.reconcile`` / ``.adopt``) so regressions localize to the
+        stage that moved.
 
         Protocol 2 fast-forwards quiesced steps: when no node can
         possibly adopt (every non-pinned node already sits at the
@@ -1030,101 +1112,16 @@ class GraphSimulatorVec(_VecEngineBase):
         draws nothing and sends nothing; queued offers still mature
         and are discarded.  State-wise this is exactly what a full
         step would compute.  The skip is part of the versioned ``.p2``
-        draw sequence — protocol 1 never skips, and both kernels skip
-        identically, so cross-kernel bit-identity is preserved.
+        draw sequence — protocol 1 never skips.
         """
         metrics = self._phase_metrics
         clock = None if metrics is None else _PhaseLapper(metrics)
         if self._protocol == 2 and self._comm_quiesced():
             if self._edge_delays is not None:
-                if self.kernel == "edge":
-                    self._store.pop(self.step_count)
-                else:
-                    self._pending.pop(self.step_count, None)
+                self._store.pop(self.step_count)
             if clock is not None:
                 clock.lap("communicate.draw")
             return
-        if self.kernel == "edge":
-            self._communicate_edge(clock)
-        else:
-            self._communicate_scatter(clock)
-
-    def _comm_quiesced(self) -> bool:
-        """Whether no communication step could change any node's state.
-
-        True when every node a reconcile may update sits at the global
-        maximum height: adoption requires a *strictly greater* height,
-        offers never carry more than the global maximum, and heights
-        never decrease — so neither this step's contacts nor any
-        queued offer can adopt.  The pinned attacker is exempt from
-        the uniform-height requirement (it never adopts); before the
-        attack starts it is an ordinary node and must be included.
-        """
-        heights = self._h32 if self._codes_valid else self._hgt
-        hmax = heights.max()
-        if self.attacker_fork is None:
-            return bool(heights.min() == hmax)
-        att = self._attacker_idx
-        a = heights[att]  # scalar copy; a <= hmax by construction
-        heights[att] = hmax
-        hmin = heights.min()
-        heights[att] = a
-        return bool(hmin == hmax)
-
-    def _comm_draw(self) -> Optional[np.ndarray]:
-        """Fill the failure/partner buffers for this step's contacts.
-
-        Returns the per-node edge-index array (``None`` on an edgeless
-        graph, after consuming the step's draws so the per-step
-        protocol stays uniform).  Both kernels share this, so a kernel
-        swap can never shift the draw sequence.
-        """
-        rng = self._rng
-        ok = self._ok_buf
-        if self._protocol == 2:
-            rng.random(out=self._u1, dtype=np.float32)
-            np.greater_equal(self._u1, self.config.failure_rate, out=ok)
-            if not self._all_active:
-                ok &= self._active
-            if self._num_edges == 0:
-                return None
-            # The surviving tail of the same uniform picks the
-            # neighbour: conditioned on u >= f, (u - f) / (1 - f) is
-            # again Uniform[0, 1), so floor of it times the degree is
-            # the choice.  Clamp to [0, degree - 1]: float32 rounding
-            # can land exactly on degree, and failed contacts (u < f)
-            # produce negative values that must stay gatherable until
-            # the ok-mask disposes of them.
-            cf = self._cf
-            np.subtract(self._u1, np.float32(self.config.failure_rate), out=cf)
-            np.multiply(cf, self._deg_scale, out=cf)
-            choice = self._choice_buf
-            np.copyto(choice, cf, casting="unsafe")
-            np.clip(choice, 0, self._choice_cap, out=choice)
-            edge = self._edge_buf
-            np.add(self._row_start_c, choice, out=edge)
-        else:
-            rng.random(out=self._u1)
-            np.greater_equal(self._u1, self.config.failure_rate, out=ok)
-            ok &= self._active
-            choice = self._draw_choices()
-            if self._num_edges == 0:
-                return None
-            edge = np.minimum(self._row_start + choice, self._num_edges - 1)
-        np.take(self._indices_c, edge, out=self._partner_buf)
-        return edge
-
-    def _communicate_edge(self, clock: Optional[_PhaseLapper]) -> None:
-        """Edge-parallel batched reconcile over preallocated buffers.
-
-        The step's offers (pull: the chosen partner's view; push: the
-        chooser's view to its partner) are destination-grouped through
-        a single indexed max-reduce pass over compressed offer codes;
-        every intermediate lives in a buffer allocated once in
-        ``__init__``.  Matured delayed offers join the same batch, so
-        delivery is one merge.  Trajectories are bit-identical to the
-        scatter kernel.
-        """
         edge = self._comm_draw()
         if clock is not None:
             clock.lap("communicate.draw")
@@ -1164,6 +1161,70 @@ class GraphSimulatorVec(_VecEngineBase):
         self._comm_adopt(best, base, matured)
         if clock is not None:
             clock.lap("communicate.adopt")
+
+    def _comm_quiesced(self) -> bool:
+        """Whether no communication step could change any node's state.
+
+        True when every node a reconcile may update sits at the global
+        maximum height: adoption requires a *strictly greater* height,
+        offers never carry more than the global maximum, and heights
+        never decrease — so neither this step's contacts nor any
+        queued offer can adopt.  The pinned attacker is exempt from
+        the uniform-height requirement (it never adopts); before the
+        attack starts it is an ordinary node and must be included.
+        """
+        heights = self._h32 if self._codes_valid else self._hgt
+        hmax = heights.max()
+        if self.attacker_fork is None:
+            return bool(heights.min() == hmax)
+        att = self._attacker_idx
+        a = heights[att]  # scalar copy; a <= hmax by construction
+        heights[att] = hmax
+        hmin = heights.min()
+        heights[att] = a
+        return bool(hmin == hmax)
+
+    def _comm_draw(self) -> Optional[np.ndarray]:
+        """Fill the failure/partner buffers for this step's contacts.
+
+        Returns the per-node edge-index array (``None`` on an edgeless
+        graph, after consuming the step's draws so the per-step
+        protocol stays uniform).
+        """
+        rng = self._rng
+        ok = self._ok_buf
+        if self._protocol == 2:
+            rng.random(out=self._u1, dtype=np.float32)
+            np.greater_equal(self._u1, self.config.failure_rate, out=ok)
+            if not self._all_active:
+                ok &= self._active
+            if self._num_edges == 0:
+                return None
+            # The surviving tail of the same uniform picks the
+            # neighbour: conditioned on u >= f, (u - f) / (1 - f) is
+            # again Uniform[0, 1), so floor of it times the degree is
+            # the choice.  Clamp to [0, degree - 1]: float32 rounding
+            # can land exactly on degree, and failed contacts (u < f)
+            # produce negative values that must stay gatherable until
+            # the ok-mask disposes of them.
+            cf = self._cf
+            np.subtract(self._u1, np.float32(self.config.failure_rate), out=cf)
+            np.multiply(cf, self._deg_scale, out=cf)
+            choice = self._choice_buf
+            np.copyto(choice, cf, casting="unsafe")
+            np.clip(choice, 0, self._choice_cap, out=choice)
+            edge = self._edge_buf
+            np.add(self._row_start_c, choice, out=edge)
+        else:
+            rng.random(out=self._u1)
+            np.greater_equal(self._u1, self.config.failure_rate, out=ok)
+            ok &= self._active
+            choice = self._draw_choices()
+            if self._num_edges == 0:
+                return None
+            edge = np.minimum(self._row_start + choice, self._num_edges - 1)
+        np.take(self._indices_c, edge, out=self._partner_buf)
+        return edge
 
     def _comm_reconcile(
         self,
@@ -1253,7 +1314,7 @@ class GraphSimulatorVec(_VecEngineBase):
         (offer height strictly above the node's) is two int32 passes —
         shift the best codes down to heights and compare against the
         maintained ``_h32`` mirror; only the adopting subset is ever
-        decoded.  The fallback decodes through int64 as before.
+        decoded.  The fallback decodes through int64.
         """
         adopt = self._adopt_buf
         if self._codes_valid:
@@ -1292,91 +1353,6 @@ class GraphSimulatorVec(_VecEngineBase):
                 best[adopting] & ~np.int32(self._src_mask)
             ) | self._rev32[adopting]
 
-    def _communicate_scatter(self, clock: Optional[_PhaseLapper]) -> None:
-        """The historical allocating scatter-max reconcile.
-
-        Kept as a bit-identical baseline for the kernel benchmarks and
-        the cross-kernel suite: same draws (through ``_comm_draw``),
-        same trajectories, the pre-optimization dataflow (fresh
-        ``np.where`` allocation, unbuffered ``np.maximum.at``,
-        dict-of-batches delay queue).
-        """
-        edge = self._comm_draw()
-        if clock is not None:
-            clock.lap("communicate.draw")
-        if edge is None:
-            return
-        ok = self._ok_buf
-        partner = self._partner_buf
-        if self._edge_delays is None:
-            best = self._push_pull_best(ok, partner)
-            if clock is not None:
-                clock.lap("communicate.reconcile")
-            self._adopt_from(best)
-            if clock is not None:
-                clock.lap("communicate.adopt")
-            return
-        delay = np.where(ok, self._edge_delays[edge], 0)
-        delayed = delay > 0
-        if delayed.any():
-            self._enqueue_delayed(np.flatnonzero(delayed), partner, delay)
-            ok = ok & ~delayed
-        matured = self._pending.pop(self.step_count, None)
-        if clock is not None:
-            clock.lap("communicate.queue")
-        best = self._push_pull_best(ok, partner)
-        if matured is not None:
-            bits = self._src_bits
-            rev_base = self._num_nodes - 1
-            for dest, src, height, _ in matured:
-                np.maximum.at(best, dest, (height << bits) | (rev_base - src))
-        if clock is not None:
-            clock.lap("communicate.reconcile")
-        if matured is None:
-            self._adopt_from(best)
-        else:
-            self._adopt_with_sent_labels(best, matured)
-        if clock is not None:
-            clock.lap("communicate.adopt")
-
-    def _enqueue_delayed(
-        self, senders: np.ndarray, partner: np.ndarray, delay: np.ndarray
-    ) -> None:
-        """Queue both offer directions with the current (at-send) view."""
-        heights = self._hgt
-        labels = self._lab
-        sender_delay = delay[senders]
-        for ticks in np.unique(sender_delay):  # repro-lint: disable=RPL311 iterates distinct delay values (small, bounded by the delay distribution), not nodes
-            sel = senders[sender_delay == ticks]
-            other = partner[sel]
-            bucket = self._pending.setdefault(self.step_count + int(ticks), [])
-            # Pull: the partner's view reaches the chooser.
-            bucket.append((sel, other, heights[other], labels[other]))
-            # Push: the chooser's view reaches the partner.
-            bucket.append((other, sel, heights[sel], labels[sel]))
-
-    def _adopt_with_sent_labels(
-        self, best: np.ndarray, matured: List[Tuple[np.ndarray, ...]]
-    ) -> None:
-        """Adopt best offers, restoring at-send labels for matured wins."""
-        heights = self._hgt
-        new_height = best >> self._src_bits
-        adopt = new_height > heights
-        if self.attacker_fork is not None:
-            adopt[self._attacker_idx] = False  # pinned
-        if not adopt.any():
-            return
-        source = (self._num_nodes - 1) - (best & self._src_mask)
-        new_label = self._lab[source]
-        bits = self._src_bits
-        rev_base = self._num_nodes - 1
-        for dest, src, height, label in matured:
-            won = ((height << bits) | (rev_base - src)) == best[dest]
-            if won.any():
-                new_label[dest[won]] = label[won]
-        self._lab[adopt] = new_label[adopt]
-        self._hgt[adopt] = new_height[adopt]
-
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
@@ -1390,6 +1366,19 @@ class GraphSimulatorVec(_VecEngineBase):
     def heights(self) -> List[int]:
         """Per-node chain heights, in node-index order."""
         return self._hgt.tolist()
+
+    def fork_fractions(self) -> Dict[str, float]:
+        counts = np.bincount(self._lab, minlength=len(self._id_labels))
+        total = self._num_nodes
+        return {
+            self._id_labels[i]: int(counts[i]) / total
+            for i in np.flatnonzero(counts).tolist()
+        }
+
+    def synced_fraction(self) -> float:
+        """Fraction of nodes at the global maximum height."""
+        at_tip = int(np.count_nonzero(self._hgt == self._hgt.max()))
+        return at_tip / self._num_nodes
 
     def snapshot(self) -> GraphSnapshot:
         return GraphSnapshot(

@@ -32,41 +32,27 @@ Two engines implement the model:
   ever rescans the grid.  Its random draws come from the stdlib
   ``"grid"`` stream and are bit-identical to the original
   implementation: published figure7 outputs do not move.
-- :class:`GridSimulatorVec` — the vectorized scale engine.  State
-  lives in NumPy integer arrays; each step's failure mask, neighbour
-  choice, and height-compare/adopt reconcile are single array kernels.
-  Its randomness follows the documented *vectorized RNG protocol*
-  below and therefore differs stream-wise from the scalar engine:
-  the two engines agree statistically (pinned by the cross-engine
-  equivalence tests), not sample-by-sample.
+- :class:`~repro.netsim.graph.GraphSimulatorVec` — the vectorized
+  graph engine, with one reconcile kernel.  A grid config reaches it
+  through :func:`~repro.netsim.graph.graph_config_from_grid`, which
+  emits the Moore neighbourhood as CSR adjacency and pins the
+  ``"grid.vec"`` NumPy stream and the grid's row/column seed-cell
+  draws (see the graph module for the vectorized RNG protocol).  Its
+  stream differs from the scalar engine's, and it reconciles all
+  contacts of a step synchronously against the step's starting state
+  (ties toward the lowest source cell) where the scalar engine
+  reconciles pairs in cell order, so the two agree statistically
+  (pinned by the cross-engine equivalence tests), not
+  sample-by-sample.
 
-Vectorized RNG protocol (``GridSimulatorVec``): all draws come from
-the NumPy generator of stream ``"grid.vec"``
-(``RngStreams(seed).numpy_stream("grid.vec")``).  Per step, in order:
-one uniform for the honest-mining gate; one uniform for the attacker
-gate when the attack is live; inside an honest mine, one uniform for
-the natural-fork gate (when honest cells exist), one ``integers``
-draw to pick the stale miner or per-guard ``integers`` pairs for seed
-cells; then one length-N uniform vector (failure mask) and one
-length-N ``integers(0, 8)`` vector (neighbour choice).  The protocol
-depends only on ``(config, step)``, never on worker count or host, so
-vectorized runs are deterministic per seed and identical under any
-``jobs=N`` fan-out.
-
-The synchronous reconcile resolves write conflicts deterministically:
-every node sees all offers made this step (its partner's view, plus
-every node that chose it as partner) and adopts the offer with the
-greatest height, ties broken toward the lowest source cell index.
-
-:func:`make_simulator` selects the engine: ``"auto"`` (the default)
-uses the vectorized engine from :data:`VEC_SIZE_THRESHOLD` (size 50,
+:func:`make_simulator` selects the engine: ``"scalar"``; ``"vec"`` and
+``"graph"``, which both run a grid on the graph engine; or ``"auto"``
+(the default), vectorized from :data:`VEC_SIZE_THRESHOLD` (size 50,
 2,500 nodes) upward, where the kernel dominates Python overhead, and
-the scalar engine below, keeping published small-grid artifacts
-bit-identical.  A third engine, ``"graph"``
-(:class:`repro.netsim.graph.GraphSimulatorVec`), generalizes the
-vectorized kernel from the fixed ``(N, 8)`` neighbourhood to arbitrary
-CSR adjacency; on a grid bridged through ``GraphSpec.from_grid`` it is
-bit-identical to ``"vec"``.
+scalar below, keeping published small-grid artifacts bit-identical.
+Grid-shaped ``labels``/``heights`` views and :class:`GridSnapshot`
+come only from the scalar engine; vectorized runs observe in flat
+node order.
 """
 
 from __future__ import annotations
@@ -77,8 +63,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
-
-import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..rng import RngStreams
@@ -93,11 +77,9 @@ __all__ = [
     "GridConfig",
     "GridSnapshot",
     "GridSimulator",
-    "GridSimulatorVec",
     "ForkChain",
     "VEC_SIZE_THRESHOLD",
     "make_simulator",
-    "offer_source_bits",
     "span_ratio_delay",
 ]
 
@@ -274,7 +256,7 @@ class GridSnapshot:
 
 
 class _GridEngineBase:
-    """Shared mechanics of both grid engines.
+    """Shared mechanics of the scalar grid engine and the graph engine.
 
     Mining decisions, fork bookkeeping (branching, label recycling,
     births/deaths), and the per-step phase structure are engine
@@ -595,13 +577,6 @@ class _GridEngineBase:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def snapshot(self) -> GridSnapshot:
-        return GridSnapshot(
-            step=self.step_count,
-            labels=tuple(tuple(row) for row in self.labels),
-            heights=tuple(tuple(row) for row in self.heights),
-        )
-
     def attacker_fraction(self) -> float:
         """Fraction of nodes currently on the counterfeit fork."""
         if self.attacker_fork is None:
@@ -776,7 +751,7 @@ class GridSimulator(_GridEngineBase):
         labels = self._labels
         set_cell = self._set_cell
         attacker_idx = self._attacker_idx if self.attacker_fork is not None else -1
-        for idx in range(self.config.num_nodes):  # repro-lint: disable=RPL311 the scalar reference engine is per-node by definition; GridSimulatorVec is the vectorized path
+        for idx in range(self.config.num_nodes):  # repro-lint: disable=RPL311 the scalar reference engine is per-node by definition; the graph engine is the vectorized path
             if failure and rng_random() < failure:
                 continue
             other = neighbors[idx][rng_randrange(8)]
@@ -809,6 +784,13 @@ class GridSimulator(_GridEngineBase):
         flat = self._heights
         return [flat[r * size : (r + 1) * size] for r in range(size)]
 
+    def snapshot(self) -> GridSnapshot:
+        return GridSnapshot(
+            step=self.step_count,
+            labels=tuple(tuple(row) for row in self.labels),
+            heights=tuple(tuple(row) for row in self.heights),
+        )
+
     def fork_fractions(self) -> Dict[str, float]:
         total = self.config.num_nodes
         return {
@@ -820,255 +802,6 @@ class GridSimulator(_GridEngineBase):
     def synced_fraction(self) -> float:
         """Fraction of nodes at the global maximum height."""
         return self._height_counts[self._max_height] / self.config.num_nodes
-
-
-#: Dtype the vectorized engines carry heights and encoded offers in.
-#: The scatter-max reconcile packs ``(height, source)`` into a single
-#: integer ``(height << source_bits) | (N - 1 - source)`` (see
-#: :func:`offer_source_bits`), so this dtype bounds how far a
-#: simulation can mine before the code overflows.
-OFFER_DTYPE = np.int64
-
-#: Mined-height headroom every topology must leave in the offer
-#: encoding; :class:`~repro.netsim.graph.GraphSpec` refuses node counts
-#: that could not mine this many blocks without overflowing.
-OFFER_HEIGHT_HEADROOM = 1 << 20
-
-
-def offer_source_bits(num_nodes: int) -> int:
-    """Bits the offer encoding reserves for the reversed source index.
-
-    Offers pack ``(height, source)`` as
-    ``(height << bits) | (num_nodes - 1 - source)`` — a shift/mask
-    compression of the historical ``height * N + (N - 1 - source)``
-    multiply encode.  Both encodings are strictly monotone in the
-    ``(height, N - 1 - source)`` lexicographic order, so the max-reduce
-    reconcile picks the same winner (greatest height, ties toward the
-    lowest source index) under either; the shift form decodes with a
-    shift and a mask instead of a division and a modulo.
-    """
-    if num_nodes <= 1:
-        return 1
-    return int(num_nodes - 1).bit_length()
-
-
-class _VecEngineBase(_GridEngineBase):
-    """Shared machinery of the vectorized engines.
-
-    Cell state is two flat NumPy arrays (fork id, height); fork ids
-    index a small per-fork table (labels, counterfeit flags), so label
-    decoding never walks the registry.  The synchronous push+pull
-    scatter-max reconcile — encode each offer as
-    ``(height << source_bits) | (N - 1 - source)`` (see
-    :func:`offer_source_bits`) so one elementwise/scatter maximum
-    resolves the height compare *and* the lowest-source tie-break —
-    lives here; subclasses supply the per-step partner choice (a fixed
-    ``(N, 8)`` matrix for the grid, CSR adjacency for arbitrary
-    graphs) and the observation layout.
-    """
-
-    #: Name of the NumPy stream the engine draws from.
-    RNG_STREAM = "grid.vec"
-
-    def __init__(
-        self,
-        config,
-        phase_metrics: Optional["PhaseTimingCollector"] = None,
-    ) -> None:
-        # Fork-id tables must exist before the base registers fork A.
-        self._fork_ids: Dict[str, int] = {}
-        self._id_labels: List[str] = []
-        # A + 24 natural labels + B: at most len(_LABELS) + 1 ids ever.
-        self._counterfeit_ids = np.zeros(len(self._LABELS) + 1, dtype=bool)
-        super().__init__(config, phase_metrics)
-        self._rng = self.streams.numpy_stream(self.RNG_STREAM)
-        num_nodes = config.num_nodes
-        self._num_nodes = num_nodes
-        self._lab = np.zeros(num_nodes, dtype=np.int16)
-        self._hgt = np.zeros(num_nodes, dtype=OFFER_DTYPE)
-        self._cell_ids = np.arange(num_nodes, dtype=OFFER_DTYPE)
-        self._src_bits = offer_source_bits(num_nodes)
-        self._src_mask = (1 << self._src_bits) - 1
-        # Reversed source ids: the low bits of every cell's offer code.
-        self._rev_ids = (num_nodes - 1) - self._cell_ids
-        self._honest_cells_cache: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # Engine hooks
-    # ------------------------------------------------------------------
-    def _on_fork_registered(self, fork: ForkChain) -> None:
-        fid = self._fork_ids.get(fork.label)
-        if fid is None:
-            fid = len(self._id_labels)
-            self._fork_ids[fork.label] = fid
-            self._id_labels.append(fork.label)
-        # Recycled labels reuse their id; the flag tracks the new fork.
-        self._counterfeit_ids[fid] = fork.counterfeit
-
-    def _rand_below(self, upper: int) -> int:
-        return int(self._rng.integers(upper))
-
-    def _label_at(self, idx: int) -> str:
-        return self._id_labels[int(self._lab[idx])]
-
-    def _height_at(self, idx: int) -> int:
-        return int(self._hgt[idx])
-
-    def _set_cell(self, idx: int, label: str, height: int) -> None:
-        self._lab[idx] = self._fork_ids[label]
-        self._hgt[idx] = height
-
-    def _honest_count(self) -> int:
-        honest = ~self._counterfeit_ids[self._lab]
-        honest[self._attacker_idx] = False
-        self._honest_cells_cache = np.flatnonzero(honest)
-        return int(self._honest_cells_cache.size)
-
-    def _honest_cell_at(self, k: int) -> int:
-        return int(self._honest_cells_cache[k])
-
-    def _holder_cells(self, fork: ForkChain) -> List[int]:
-        fid = self._fork_ids[fork.label]
-        holders = np.flatnonzero(self._lab == fid)
-        holders = holders[holders != self._attacker_idx]
-        k = self.HONEST_SEED_CELLS
-        if holders.size > k:
-            # Top cells by height, ties toward the lowest cell index:
-            # the offer code (height << bits | reversed index) orders
-            # exactly that way, so a bounded argpartition selects the
-            # same cells the historical full lexsort did without
-            # sorting all holders.
-            codes = (self._hgt[holders] << self._src_bits) | self._rev_ids[holders]
-            top = np.argpartition(codes, holders.size - k)[holders.size - k :]
-            top = top[np.argsort(-codes[top], kind="stable")]
-            holders = holders[top]
-        return [int(idx) for idx in holders]  # repro-lint: disable=RPL311 holders is sliced to HONEST_SEED_CELLS (3) above
-
-    # ------------------------------------------------------------------
-    # The shared scatter-max reconcile
-    # ------------------------------------------------------------------
-    def _offer_codes(self) -> np.ndarray:
-        """Every cell's offer: ``(height << bits) | (N - 1 - source)``."""
-        return (self._hgt << self._src_bits) | self._rev_ids
-
-    def _push_pull_best(self, ok: np.ndarray, partner: np.ndarray) -> np.ndarray:
-        """Best offer per cell from this step's successful contacts.
-
-        Each node's best offer combines the pull side (its chosen
-        partner's view) and the push side (every node that chose it as
-        partner this step); ``ok`` masks the failed attempts.
-        """
-        offer = self._offer_codes()
-        best = np.where(ok, offer[partner], 0)
-        np.maximum.at(best, partner[ok], offer[ok])
-        return best
-
-    def _adopt_from(self, best: np.ndarray) -> None:
-        """Adopt every strictly-better best offer (attacker pinned)."""
-        heights = self._hgt
-        new_height = best >> self._src_bits
-        adopt = new_height > heights
-        if self.attacker_fork is not None:
-            adopt[self._attacker_idx] = False  # pinned
-        adopting = np.flatnonzero(adopt)
-        if adopting.size == 0:
-            return
-        # Decode sources only for the (usually small) adopting subset.
-        source = (self._num_nodes - 1) - (best[adopting] & self._src_mask)
-        self._lab[adopting] = self._lab[source]
-        self._hgt[adopting] = new_height[adopting]
-
-    def _live_labels(self) -> Set[str]:
-        counts = np.bincount(self._lab, minlength=len(self._id_labels))
-        return {self._id_labels[i] for i in np.flatnonzero(counts)}  # repro-lint: disable=RPL311 label-count scale (few dozen forks), not node scale
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def fork_fractions(self) -> Dict[str, float]:
-        counts = np.bincount(self._lab, minlength=len(self._id_labels))
-        total = self.config.num_nodes
-        return {
-            self._id_labels[i]: int(counts[i]) / total
-            for i in np.flatnonzero(counts).tolist()
-        }
-
-    def synced_fraction(self) -> float:
-        """Fraction of nodes at the global maximum height."""
-        at_tip = int(np.count_nonzero(self._hgt == self._hgt.max()))
-        return at_tip / self.config.num_nodes
-
-
-class GridSimulatorVec(_VecEngineBase):
-    """Vectorized grid engine: NumPy arrays and per-step array kernels.
-
-    Cell state and the synchronous height-compare/adopt kernel come
-    from :class:`_VecEngineBase`; this engine adds the precomputed
-    ``(N, 8)`` Moore-neighbourhood index matrix and the grid-shaped
-    observation views (see the module docstring for the RNG protocol
-    and the conflict rule).
-
-    Semantics differ from :class:`GridSimulator` in exactly one way:
-    the scalar engine reconciles pairs sequentially within a step
-    (cell 0's adoption is visible to cell 1's comparison), while this
-    engine reconciles all pairs against the step's starting state.
-    Both are faithful one-communication-per-node models; their fork
-    trajectories agree in distribution (pinned by the cross-engine
-    statistical-equivalence tests), not draw-by-draw.
-    """
-
-    def __init__(
-        self,
-        config: GridConfig,
-        phase_metrics: Optional["PhaseTimingCollector"] = None,
-    ) -> None:
-        super().__init__(config, phase_metrics)
-        self._nbrs = self._build_neighbor_matrix(config.size)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build_neighbor_matrix(size: int) -> np.ndarray:
-        """Moore neighbourhood as an ``(N, 8)`` flat-index matrix."""
-        rows = np.arange(size).repeat(size)
-        cols = np.tile(np.arange(size), size)
-        offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-        columns = [
-            ((rows + dr) % size) * size + ((cols + dc) % size) for dr, dc in offsets
-        ]
-        return np.stack(columns, axis=1).astype(np.int64)
-
-    def _communicate(self) -> None:
-        """Synchronous communication kernel over all N nodes.
-
-        Per step: one length-N uniform vector (failure mask), one
-        length-N ``integers(0, 8)`` vector (neighbour choice), then the
-        shared scatter-max reconcile.
-        """
-        rng = self._rng
-        num_nodes = self._num_nodes
-        fail = rng.random(num_nodes) < self.config.failure_rate
-        choice = rng.integers(0, 8, size=num_nodes)
-        partner = self._nbrs[self._cell_ids, choice]
-        ok = ~fail
-        self._adopt_from(self._push_pull_best(ok, partner))
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    @property
-    def labels(self) -> List[List[str]]:
-        """Per-cell fork labels as nested rows (observation view)."""
-        size = self.config.size
-        id_labels = self._id_labels
-        flat = [id_labels[i] for i in self._lab.tolist()]
-        return [flat[r * size : (r + 1) * size] for r in range(size)]
-
-    @property
-    def heights(self) -> List[List[int]]:
-        """Per-cell chain heights as nested rows (observation view)."""
-        size = self.config.size
-        flat = self._hgt.tolist()
-        return [flat[r * size : (r + 1) * size] for r in range(size)]
 
 
 #: Grid edge length from which ``engine="auto"`` switches to the
@@ -1085,28 +818,25 @@ def make_simulator(
     engine: str = "auto",
     phase_metrics: Optional["PhaseTimingCollector"] = None,
     delay_model=None,
-    tick_seconds: Optional[Seconds] = None,
 ) -> _GridEngineBase:
     """Build the simulation engine for ``config``.
 
     ``config`` is a :class:`GridConfig` or a
     :class:`~repro.netsim.graph.GraphConfig`.  ``engine``:
-    ``"scalar"`` (bit-identical reference), ``"vec"`` (NumPy kernel,
-    own RNG protocol), ``"graph"`` (CSR sparse-adjacency kernel for
-    arbitrary topologies; a grid config is bridged via
-    ``GraphSpec.from_grid`` and stays bit-identical to ``"vec"``), or
-    ``"auto"`` — for grid configs, vectorized from
-    :data:`VEC_SIZE_THRESHOLD` upward and scalar below; for graph
-    configs, always the graph engine (graph topologies have no scalar
-    or fixed-neighbour fallback, so ``"auto"`` can never silently
-    degrade them).
+    ``"scalar"`` (the bit-identical reference), ``"vec"`` or
+    ``"graph"`` (the CSR graph engine; a grid config is bridged via
+    :func:`~repro.netsim.graph.graph_config_from_grid`), or ``"auto"``
+    — for grid configs, vectorized from :data:`VEC_SIZE_THRESHOLD`
+    upward and scalar below; for graph configs, always the graph
+    engine (graph topologies have no scalar fallback, so ``"auto"``
+    can never silently degrade them).
 
     ``delay_model`` (an :class:`~repro.netsim.latency.EmpiricalLatency`
     or a name from :data:`~repro.netsim.latency.DELAY_MODELS`) draws
     calibrated per-edge propagation delays through
     :meth:`~repro.netsim.graph.GraphSpec.with_delay_model`, quantized
-    to ticks of ``tick_seconds`` (default: the span-ratio tick).  Only
-    the graph engine carries per-edge delays, so a delay model with a
+    to the span-ratio tick.  Only ``engine="graph"`` (or a graph
+    config) carries per-edge delays, so a delay model with any other
     grid engine is a configuration error rather than a silent no-op.
     """
     import dataclasses
@@ -1133,29 +863,18 @@ def make_simulator(
                 engine=engine,
                 choices=("auto", "graph"),
             )
-        if delay_model is not None:
-            config = dataclasses.replace(
-                config,
-                spec=config.spec.with_delay_model(
-                    delay_model, tick_seconds=tick_seconds
-                ),
+    else:
+        if delay_model is not None and engine != "graph":
+            raise ConfigurationError(
+                "delay models require the graph engine", engine=engine
             )
-        return GraphSimulatorVec(config, phase_metrics=phase_metrics)
-    if engine == "graph":
-        graph_config = graph_config_from_grid(config)
-        if delay_model is not None:
-            graph_config = dataclasses.replace(
-                graph_config,
-                spec=graph_config.spec.with_delay_model(
-                    delay_model, tick_seconds=tick_seconds
-                ),
-            )
-        return GraphSimulatorVec(graph_config, phase_metrics=phase_metrics)
+        if engine == "auto":
+            engine = "vec" if config.size >= VEC_SIZE_THRESHOLD else "scalar"
+        if engine == "scalar":
+            return GridSimulator(config, phase_metrics=phase_metrics)
+        config = graph_config_from_grid(config)
     if delay_model is not None:
-        raise ConfigurationError(
-            "delay models require the graph engine", engine=engine
+        config = dataclasses.replace(
+            config, spec=config.spec.with_delay_model(delay_model)
         )
-    if engine == "auto":
-        engine = "vec" if config.size >= VEC_SIZE_THRESHOLD else "scalar"
-    cls = GridSimulatorVec if engine == "vec" else GridSimulator
-    return cls(config, phase_metrics=phase_metrics)
+    return GraphSimulatorVec(config, phase_metrics=phase_metrics)

@@ -54,8 +54,8 @@ def quantize_ticks(seconds: Seconds, tick_seconds: Seconds) -> int:
     The rule — shared by the scalar and the vectorized sampling paths —
     is *nearest tick, ties to even* (so 1.5 ticks → 2, 2.5 ticks → 2),
     never below zero.  A delay under half a tick therefore rounds to 0:
-    the contact lands in the same step, exactly the grid engines'
-    zero-delay semantics.
+    the contact lands in the same step, exactly the zero-delay
+    semantics of an undelayed run.
     """
     if tick_seconds <= 0:
         raise ConfigurationError(

@@ -52,7 +52,7 @@ class TimelineEvent:
         partition_fraction: New partition size as a node fraction
             (``0.0`` clears the partition, restoring the full edge
             set), or ``None``.  Only the graph engine carries dynamic
-            partitions; grid engines reject such events.
+            partitions; the scalar grid engine rejects such events.
     """
 
     step: int

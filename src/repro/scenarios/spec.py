@@ -103,6 +103,11 @@ class ScenarioSpec:
             :meth:`~repro.netsim.graph.GraphSpec.power_law`).
         engine: ``"auto"``, ``"scalar"``, ``"vec"``, or ``"graph"``
             (power-law topologies accept only ``"auto"``/``"graph"``).
+            On a grid, ``"vec"`` (and ``"auto"`` from
+            :data:`~repro.netsim.grid.VEC_SIZE_THRESHOLD`) runs the
+            graph engine through the grid bridge like ``"graph"``, but
+            only ``"graph"`` gives a grid graph semantics (delay
+            models, partitions); the name stays part of the digest.
         delay_model: Optional calibrated delay-model name from
             :data:`~repro.netsim.latency.DELAY_MODELS`; requires graph
             semantics (power-law topology, or a grid bridged with

@@ -1,19 +1,23 @@
-"""Cross-kernel and RNG-protocol contracts of the sparse graph engine.
+"""Reconcile-kernel and RNG-protocol contracts of the sparse graph engine.
 
-The edge-parallel batched reconcile (``kernel="edge"``, the default)
-must be observationally indistinguishable from the historical
-allocating scatter-max dataflow (``kernel="scatter"``): both share
-``_comm_draw``, so the only way they can diverge is a reconcile or
-delivery bug.  This suite pins that bit-identity over the five golden
-scenario configs plus dedicated delayed-edge and partition-mask
-configs across 16 seeds, pins the delayed-offer store's bounded-queue
-invariant and maturation order-independence under Hypothesis, and
-covers the versioned protocol-2 RNG stream (``".p2"``).
+The edge-parallel batched reconcile replaced the historical allocating
+scatter-max kernel, and must stay observationally indistinguishable
+from it.  That kernel's trajectories on dedicated delayed-edge and
+partition-mask configs across 16 seeds, a calibrated-delay config and
+a protocol-2 config were frozen before its removal
+(``fixtures/retired_engines.json``, see ``retired_engines.py``); the
+five golden scenario configs are pinned by ``golden_graph.json``.
+This suite pins the engine against those frozen trajectories, pins the
+delayed-offer store's bounded-queue invariant and maturation
+order-independence under Hypothesis, and covers the versioned
+protocol-2 RNG stream (``".p2"``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,43 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.netsim.graph import (
-    GRAPH_KERNELS,
-    GraphConfig,
-    GraphSimulatorVec,
-    GraphSpec,
-)
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 from repro.netsim.latency import BITCOIN_PROPAGATION_2019
 
-from . import graph_scenarios
-
-
-def _delayed_config(seed: int) -> GraphConfig:
-    return GraphConfig(
-        spec=GraphSpec.synthetic(96, max_delay=3, seed=17),
-        seed=seed,
-        failure_rate=0.12,
-        steps_per_block=10,
-        attacker_share=0.35,
-        attacker_node=2,
-        attack_start_step=40,
-        natural_fork_rate=0.15,
-    )
-
-
-def _partitioned_config(seed: int) -> GraphConfig:
-    spec = GraphSpec.synthetic(96, seed=23)
-    mask = np.arange(spec.num_nodes) % 2 == 0
-    return GraphConfig(
-        spec=spec.partitioned(mask),
-        seed=seed,
-        failure_rate=0.10,
-        steps_per_block=12,
-        attacker_share=0.40,
-        attacker_node=1,
-        attack_start_step=30,
-        natural_fork_rate=0.10,
-    )
+from . import graph_scenarios, retired_engines
 
 
 def _observations(sim: GraphSimulatorVec):
@@ -70,55 +41,42 @@ def _observations(sim: GraphSimulatorVec):
     )
 
 
-def _assert_kernels_bit_identical(config: GraphConfig, steps: int = 200) -> None:
-    edge = GraphSimulatorVec(config, kernel="edge")
-    scatter = GraphSimulatorVec(config, kernel="scatter")
-    chunk = max(1, steps // 4)
-    while edge.step_count < steps:
-        edge.run(chunk)
-        scatter.run(chunk)
-        assert _observations(edge) == _observations(scatter), (
-            f"kernels diverged at step {edge.step_count}"
-        )
-
-
 class TestCrossKernelBitIdentity:
-    """``edge`` and ``scatter`` kernels produce identical trajectories."""
+    """The edge kernel replays the retired scatter kernel's trajectories."""
 
-    def test_kernel_catalogue(self):
-        assert GRAPH_KERNELS == ("edge", "scatter")
-        assert GraphSimulatorVec(_delayed_config(0)).kernel == "edge"
+    FROZEN = retired_engines.load()["scatter"]
+    CONFIGS = retired_engines.kernel_configs()
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "fixtures" / graph_scenarios.FIXTURE_NAME).read_text()
+    )
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GraphSimulatorVec(_delayed_config(0), kernel="warp")
+    def _assert_matches_scatter(self, key: str) -> None:
+        sim = GraphSimulatorVec(self.CONFIGS[key])
+        observed = retired_engines.trajectory(
+            sim, retired_engines.KERNEL_CHECKPOINTS
+        )
+        assert observed == self.FROZEN[key]
 
     @pytest.mark.parametrize("name", sorted(graph_scenarios.SCENARIO_NAMES))
     def test_golden_scenarios(self, name):
-        _assert_kernels_bit_identical(
-            graph_scenarios.build_config(name), steps=graph_scenarios.HORIZON
-        )
+        """Both kernels reproduced ``golden_graph.json``; the edge kernel
+        still reproduces every captured field of it."""
+        assert graph_scenarios.capture(name) == self.GOLDEN[name]
 
     @pytest.mark.parametrize("seed", range(16))
     def test_delayed_edges_across_seeds(self, seed):
-        _assert_kernels_bit_identical(_delayed_config(seed), steps=120)
+        self._assert_matches_scatter(f"delayed_edges[{seed}]")
 
     @pytest.mark.parametrize("seed", range(16))
     def test_partition_mask_across_seeds(self, seed):
-        _assert_kernels_bit_identical(_partitioned_config(seed), steps=120)
+        self._assert_matches_scatter(f"partition_mask[{seed}]")
 
     def test_calibrated_delay_model_config(self):
-        spec = GraphSpec.power_law(
-            128, seed=3, delay_model=BITCOIN_PROPAGATION_2019, tick_seconds=1.0
-        )
-        assert spec.edge_delays is not None
-        config = dataclasses.replace(_delayed_config(4), spec=spec)
-        _assert_kernels_bit_identical(config, steps=120)
+        assert self.CONFIGS["calibrated"].spec.edge_delays is not None
+        self._assert_matches_scatter("calibrated")
 
     def test_protocol2_cross_kernel(self):
-        spec = GraphSpec.power_law(128, max_delay=2, seed=6, rng_protocol=2)
-        config = dataclasses.replace(_delayed_config(8), spec=spec)
-        _assert_kernels_bit_identical(config, steps=120)
+        self._assert_matches_scatter("protocol2")
 
 
 class TestDelayedOfferStore:
@@ -163,7 +121,7 @@ class TestDelayedOfferStore:
         offers always carry equal labels — last-wins delivery order is
         observationally irrelevant.
         """
-        config = _delayed_config(seed)
+        config = retired_engines.delayed_config(seed)
         baseline = GraphSimulatorVec(config)
         shuffled = GraphSimulatorVec(config)
         perm_rng = np.random.default_rng(perm_seed)
@@ -191,7 +149,7 @@ class TestDelayedOfferStore:
         assert _observations(baseline) == _observations(shuffled)
 
     def test_store_grows_geometrically_and_compacts(self):
-        sim = GraphSimulatorVec(_delayed_config(1))
+        sim = GraphSimulatorVec(retired_engines.delayed_config(1))
         sim.run(40)
         store = sim._store
         assert store.capacity >= store.count

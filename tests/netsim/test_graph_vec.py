@@ -4,14 +4,16 @@ selection, and statistical equivalence with the scalar reference.
 The contract has two tiers:
 
 - **Exact**: a grid bridged through :meth:`GraphSpec.from_grid` pins
-  ``rng_stream="grid.vec"`` and replays the vectorized grid engine's
-  draw sequence bit-for-bit — every intermediate state matches
-  ``GridSimulatorVec`` exactly, per seed.
+  ``rng_stream="grid.vec"`` and replays the draw sequence of the
+  retired vectorized grid engine bit-for-bit — every observation
+  matches that engine's frozen trajectories
+  (``fixtures/retired_engines.json``, see ``retired_engines.py``),
+  per seed.
 - **Statistical**: on its native ``"graph.vec"`` stream the engine is
-  *not* draw-compatible with any grid engine, but it simulates the
-  same physics — fork-B peak capture, final chain-A recovery, and
-  natural-fork lifetimes agree in distribution over 32 seeds with the
-  scalar reference engine.
+  *not* draw-compatible with the bridge, but it simulates the same
+  physics — fork-B peak capture, final chain-A recovery, and
+  natural-fork lifetimes agree in distribution over 48 seeds with the
+  bridged grid.
 """
 
 from __future__ import annotations
@@ -30,27 +32,16 @@ from repro.netsim.graph import (
     GraphSpec,
     graph_config_from_grid,
 )
-from repro.netsim.grid import (
-    ENGINES,
-    GridConfig,
-    GridSimulatorVec,
-    make_simulator,
-)
+from repro.netsim.grid import ENGINES, GridConfig, GridSimulator, make_simulator
 from repro.parallel import Trial, TrialEngine
 from repro.parallel.metrics import PhaseTimingCollector
 from repro.topology.topology import Topology
 
+from . import retired_engines
+
 
 def _grid_config(seed: int, size: int = 15) -> GridConfig:
-    return GridConfig(
-        size=size,
-        seed=seed,
-        failure_rate=0.10,
-        steps_per_block=20,
-        attacker_share=0.30,
-        attacker_cell=(7 % size, 7 % size),
-        attack_start_step=100,
-    )
+    return retired_engines.grid_config(seed, size)
 
 
 def _native_config(seed: int, size: int = 15) -> GraphConfig:
@@ -93,34 +84,26 @@ def _shuffled_topology(order_seed: int) -> Topology:
 
 
 class TestGridBridgeBitIdentity:
-    """`from_grid` + `graph_config_from_grid` replay the vec engine."""
+    """`from_grid` + `graph_config_from_grid` replay the retired vec engine."""
+
+    FROZEN = retired_engines.load()["grid_vec"]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical_trajectory(self, seed):
-        config = _grid_config(seed)
-        grid = GridSimulatorVec(config)
-        graph = GraphSimulatorVec(graph_config_from_grid(config))
-        for chunk in (50, 100, 150, 100):
-            grid.run(chunk)
-            graph.run(chunk)
-            flat_labels = [label for row in grid.labels for label in row]
-            flat_heights = [height for row in grid.heights for height in row]
-            assert graph.labels == flat_labels, f"labels at {grid.step_count}"
-            assert graph.heights == flat_heights, f"heights at {grid.step_count}"
-            assert graph.fork_fractions() == grid.fork_fractions()
-        assert graph.fork_births == grid.fork_births
-        assert graph.fork_deaths == grid.fork_deaths
-        assert graph.fork_lifetimes_in_blocks() == grid.fork_lifetimes_in_blocks()
-        assert graph.synced_fraction() == grid.synced_fraction()
-        assert graph.attacker_fraction() == grid.attacker_fraction()
+        graph = GraphSimulatorVec(graph_config_from_grid(_grid_config(seed)))
+        observed = retired_engines.trajectory(
+            graph, retired_engines.GRID_CHECKPOINTS
+        )
+        assert observed == self.FROZEN[str(seed)]
 
     def test_bridge_spec_matches_neighbor_matrix(self):
+        """Bridge rows list the scalar engine's Moore neighbours in order."""
         spec = GraphSpec.from_grid(9)
-        matrix = GridSimulatorVec._build_neighbor_matrix(9)
+        moore = np.array(GridSimulator._build_neighbors(9))
         assert spec.regular_degree == 8
         assert spec.rng_stream == "grid.vec"
         assert spec.grid_size == 9
-        assert np.array_equal(spec.indices, matrix.reshape(-1))
+        assert np.array_equal(spec.indices, moore.reshape(-1))
         assert np.array_equal(np.diff(spec.indptr), np.full(81, 8))
 
 
@@ -202,6 +185,21 @@ class TestEngineSelection:
         assert isinstance(sim, GraphSimulatorVec)
         assert sim.spec.rng_stream == "grid.vec"
 
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "vec"])
+    def test_grid_delay_model_needs_graph_engine(self, engine):
+        """Only ``engine="graph"`` carries delays, even though ``vec``
+        (and ``auto`` at this size) now run the same engine class."""
+        with pytest.raises(ConfigurationError):
+            make_simulator(
+                GridConfig(size=60), engine=engine, delay_model="calibrated"
+            )
+
+    def test_grid_delay_model_on_graph_engine(self):
+        sim = make_simulator(
+            GridConfig(size=8), engine="graph", delay_model="calibrated"
+        )
+        assert sim.spec.edge_delays is not None
+
     def test_graph_config_auto_selects_graph_engine(self):
         """A graph input can never silently fall back to a grid engine."""
         sim = make_simulator(_native_config(seed=0))
@@ -224,15 +222,14 @@ class TestEngineSelection:
 
 
 class TestCrossEngineStatisticalEquivalence:
-    """Native-stream graph runs match the vectorized reference physics.
+    """Native-stream graph runs match the bridged grid's physics.
 
     The native ``"graph.vec"`` stream draws a different sequence than
-    either grid engine, so individual runs differ — but over 48 seeds
-    the fork-B peak capture, final chain-A recovery, and natural-fork
-    lifetimes must agree in distribution with ``GridSimulatorVec``
-    (which shares the synchronous reconcile; its own equivalence with
-    the scalar reference is pinned by ``test_grid_vec.py``, closing
-    the scalar ≈ vec ≈ graph chain).
+    the bridge's ``"grid.vec"``, so individual runs differ — but over
+    48 seeds the fork-B peak capture, final chain-A recovery, and
+    natural-fork lifetimes must agree in distribution (the bridge's own
+    equivalence with the scalar reference is pinned by
+    ``test_grid_vec.py``, closing the scalar ≈ vec ≈ graph chain).
     """
 
     SEEDS = range(48)
@@ -253,7 +250,7 @@ class TestCrossEngineStatisticalEquivalence:
 
     def test_distributions_agree(self):
         s_peaks, s_finals, s_lifetimes = self._ensemble(
-            lambda seed: GridSimulatorVec(_grid_config(seed))
+            lambda seed: make_simulator(_grid_config(seed), engine="vec")
         )
         g_peaks, g_finals, g_lifetimes = self._ensemble(
             lambda seed: GraphSimulatorVec(_native_config(seed))

@@ -1,13 +1,15 @@
-"""Vectorized grid engine: determinism, API parity, engine selection,
-and statistical equivalence with the scalar reference engine.
+"""Vectorized grid runs: determinism, engine selection, and statistical
+equivalence with the scalar reference engine.
 
-``GridSimulatorVec`` follows its own documented RNG protocol (the
+``engine="vec"`` runs a grid on the graph engine through the grid
+bridge, which follows its own documented RNG protocol (the
 ``"grid.vec"`` NumPy stream), so it is *not* draw-compatible with
 ``GridSimulator`` — the contract is instead:
 
 - deterministic per seed: identical snapshots for identical configs,
-  regardless of worker count (seed-equivalence, like PR 1's);
-- same public API and invariants as the scalar engine;
+  regardless of worker count (seed-equivalence);
+- the same observation invariants as the scalar engine, in flat node
+  order;
 - the same physics: fork-B peak capture, final chain-A recovery, and
   natural-fork lifetimes agree in distribution over many seeds.
 """
@@ -19,11 +21,11 @@ import statistics
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.netsim.graph import GraphSimulatorVec
 from repro.netsim.grid import (
     ENGINES,
     GridConfig,
     GridSimulator,
-    GridSimulatorVec,
     VEC_SIZE_THRESHOLD,
     make_simulator,
 )
@@ -42,9 +44,13 @@ def _attack_config(seed: int, size: int = 15) -> GridConfig:
     )
 
 
+def _vec(config: GridConfig):
+    return make_simulator(config, engine="vec")
+
+
 def _vec_trial(trial: Trial):
     """Module-level (hence picklable) trial: one vectorized run."""
-    sim = GridSimulatorVec(_attack_config(trial.seed, trial.param("size")))
+    sim = _vec(_attack_config(trial.seed, trial.param("size")))
     sim.run(300)
     snap = sim.snapshot()
     return {
@@ -59,7 +65,7 @@ class TestVecDeterminism:
     def test_same_seed_same_trajectory(self):
         runs = []
         for _ in range(2):
-            sim = GridSimulatorVec(_attack_config(seed=5))
+            sim = _vec(_attack_config(seed=5))
             states = []
             for _ in range(8):
                 sim.run(50)
@@ -68,8 +74,8 @@ class TestVecDeterminism:
         assert runs[0] == runs[1]
 
     def test_different_seeds_diverge(self):
-        a = GridSimulatorVec(_attack_config(seed=1))
-        b = GridSimulatorVec(_attack_config(seed=2))
+        a = _vec(_attack_config(seed=1))
+        b = _vec(_attack_config(seed=2))
         a.run(300)
         b.run(300)
         assert a.snapshot() != b.snapshot()
@@ -88,35 +94,26 @@ class TestVecDeterminism:
 class TestVecApiParity:
     def test_observation_api_matches_scalar(self):
         config = _attack_config(seed=3)
-        scalar = GridSimulator(config)
-        vec = GridSimulatorVec(config)
-        for sim in (scalar, vec):
+        for engine in ("scalar", "vec"):
+            sim = make_simulator(config, engine=engine)
             sim.run(250)
             assert sim.step_count == 250
             fractions = sim.fork_fractions()
             assert sum(fractions.values()) == pytest.approx(1.0)
             assert 0.0 < sim.synced_fraction() <= 1.0
             assert 0.0 <= sim.attacker_fraction() <= 1.0
-            snap = sim.snapshot()
-            assert len(snap.labels) == config.size
-            assert len(snap.labels[0]) == config.size
-            assert snap.fork_fractions() == fractions
-            assert len(snap.render().splitlines()) == config.size
-            assert sim.labels[0][0] in sim.forks
-            assert isinstance(sim.heights[0][0], int)
+            assert sim.snapshot().fork_fractions() == fractions
 
     def test_attacker_cell_stays_pinned(self):
         config = _attack_config(seed=7, size=10)
-        sim = GridSimulatorVec(config)
+        sim = _vec(config)
         sim.run(600)
         assert sim.attacker_fork is not None
         row, col = config.attacker_cell
-        assert sim.labels[row][col] == sim.attacker_fork.label
+        assert sim.labels[row * config.size + col] == sim.attacker_fork.label
 
     def test_no_attack_stays_honest(self):
-        sim = GridSimulatorVec(
-            GridConfig(size=10, seed=1, attacker_share=0.0, steps_per_block=20)
-        )
+        sim = _vec(GridConfig(size=10, seed=1, attacker_share=0.0, steps_per_block=20))
         sim.run(400)
         assert sim.attacker_fork is None
         assert sim.attacker_fraction() == 0.0
@@ -130,14 +127,15 @@ class TestEngineSelection:
 
     def test_auto_uses_vec_at_threshold(self):
         sim = make_simulator(GridConfig(size=VEC_SIZE_THRESHOLD))
-        assert isinstance(sim, GridSimulatorVec)
+        assert isinstance(sim, GraphSimulatorVec)
+        assert sim.spec.grid_size == VEC_SIZE_THRESHOLD
 
     def test_explicit_engines(self):
         config = GridConfig(size=60)
         assert isinstance(make_simulator(config, engine="scalar"), GridSimulator)
-        assert isinstance(
-            make_simulator(GridConfig(size=8), engine="vec"), GridSimulatorVec
-        )
+        sim = make_simulator(GridConfig(size=8), engine="vec")
+        assert isinstance(sim, GraphSimulatorVec)
+        assert sim.spec.grid_size == 8
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ConfigurationError):
@@ -148,7 +146,7 @@ class TestEngineSelection:
 
 
 class TestCrossEngineStatisticalEquivalence:
-    """The two engines simulate the same physics.
+    """The scalar and vectorized engines simulate the same physics.
 
     Their streams differ (documented protocols), and the scalar engine
     reconciles sequentially within a step while the vectorized engine
@@ -160,10 +158,10 @@ class TestCrossEngineStatisticalEquivalence:
     SEEDS = range(32)
 
     @staticmethod
-    def _ensemble(engine_cls):
+    def _ensemble(engine):
         peaks, finals, lifetimes = [], [], []
         for seed in TestCrossEngineStatisticalEquivalence.SEEDS:
-            sim = engine_cls(_attack_config(seed))
+            sim = make_simulator(_attack_config(seed), engine=engine)
             peak = 0.0
             for _ in range(40):
                 sim.run(10)
@@ -174,8 +172,8 @@ class TestCrossEngineStatisticalEquivalence:
         return peaks, finals, lifetimes
 
     def test_distributions_agree(self):
-        s_peaks, s_finals, s_lifetimes = self._ensemble(GridSimulator)
-        v_peaks, v_finals, v_lifetimes = self._ensemble(GridSimulatorVec)
+        s_peaks, s_finals, s_lifetimes = self._ensemble("scalar")
+        v_peaks, v_finals, v_lifetimes = self._ensemble("vec")
 
         # Fork-B peak capture: a 30% attacker seizes most of a small,
         # under-synchronized grid in both engines, to similar extents.

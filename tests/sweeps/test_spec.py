@@ -134,8 +134,16 @@ class TestValidation:
             ScenarioSpec(topology="power_law", num_nodes=16, size=4)
 
     def test_partitions_need_graph_semantics(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec(partitions=((2, 4, 0.25),), **GRID)
+        """Grid specs off ``engine="graph"`` reject partitions and delay
+        models, also at sizes where ``vec``/``auto`` run the graph
+        engine."""
+        for size in (3, 50):
+            for engine in ("auto", "scalar", "vec"):
+                grid = dict(GRID, size=size, engine=engine)
+                with pytest.raises(ConfigurationError):
+                    ScenarioSpec(partitions=((2, 4, 0.25),), **grid)
+                with pytest.raises(ConfigurationError):
+                    ScenarioSpec(delay_model="calibrated", **grid)
 
     def test_unreachable_needs_power_law(self):
         with pytest.raises(ConfigurationError):
