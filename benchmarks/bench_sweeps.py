@@ -6,16 +6,17 @@ and writes ``BENCH_sweeps.json`` — the committed perf record for the
 scenario-sweep subsystem.  Three tiers:
 
 - ``sweep-cold-j1`` — serial cold run (the per-scenario floor);
-- ``sweep-cold-j4`` — cold run through a 4-worker trial engine
-  (dominated by dispatch overhead at --fast scenario sizes; the tier
-  exists to catch dispatch-cost regressions, not to show speedup);
+- ``sweep-cold-j4`` — cold run through a 4-worker trial engine; its
+  ``dispatch_overhead_ms`` is the per-trial worker capacity not spent
+  inside trials, ``(jobs * wall - sum of worker seconds) / trials``,
+  which is what a dispatch-cost regression moves;
 - ``sweep-warm`` — re-run against a fully warm :class:`ResultCache`
   (must execute zero trials; throughput is pure key-lookup speed).
 
 Regression floor: ``--floor-against BENCH_sweeps.json`` compares each
 tier's specs/sec against the committed record and exits 3 when any
 falls below ``--floor-ratio`` (default 0.5) of it — the CI sweep-smoke
-gate.
+gate.  The ``env`` block records the machine and interpreter.
 
 Standalone (the committed record uses the defaults)::
 
@@ -32,7 +33,8 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.parallel import ResultCache
+from machine import machine_facts
+from repro.parallel import METRICS, ResultCache
 from repro.sweeps import load_specfile, run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +42,9 @@ DEFAULT_PLAN = REPO_ROOT / "examples" / "sweeps" / "frontier_fast.json"
 
 #: Exit status of a failed --floor-against regression check.
 FLOOR_EXIT = 3
+
+#: Worker count of the ``sweep-cold-j4`` tier.
+FANOUT_JOBS = 4
 
 
 def _record(name: str, num_specs: int, seconds: float, **extra) -> Dict[str, object]:
@@ -70,10 +75,20 @@ def run_benchmarks(
         _record("sweep-cold-j1", len(specs), time.perf_counter() - start)
     )
 
+    METRICS.reset()
     start = time.perf_counter()
-    fanned = run_sweep(specs, root_seed=plan.seed, jobs=4)
+    fanned = run_sweep(specs, root_seed=plan.seed, jobs=FANOUT_JOBS)
+    wall = time.perf_counter() - start
+    worker_seconds = sum(record.seconds for record in METRICS.records)
     records.append(
-        _record("sweep-cold-j4", len(specs), time.perf_counter() - start)
+        _record(
+            "sweep-cold-j4",
+            len(specs),
+            wall,
+            dispatch_overhead_ms=(FANOUT_JOBS * wall - worker_seconds)
+            / len(specs)
+            * 1e3,
+        )
     )
     if fanned.summaries != serial.summaries:  # pragma: no cover - invariant
         raise AssertionError("jobs=4 sweep diverged from serial")
@@ -98,6 +113,7 @@ def run_benchmarks(
 
     return {
         "suite": "scenario-sweeps",
+        "env": machine_facts(),
         "plan": plan.name,
         "num_specs": len(specs),
         "seed": plan.seed,

@@ -173,7 +173,10 @@ class ResultCache:
     def entry_path(
         self, experiment_id: str, config: Mapping[str, Any], seed: int
     ) -> Path:
-        return self.directory / f"{self.key(experiment_id, config, seed)}.json"
+        return self._path(self.key(experiment_id, config, seed))
+
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
 
     # ------------------------------------------------------------------
     def get(
@@ -185,7 +188,8 @@ class ResultCache:
         key mismatch from a renamed file) is deleted so the caller's
         recompute will overwrite it with a good copy.
         """
-        path = self.entry_path(experiment_id, config, seed)
+        key = self.key(experiment_id, config, seed)
+        path = self._path(key)
         if not path.exists():
             self.misses += 1
             return None
@@ -194,7 +198,7 @@ class ResultCache:
             if (
                 not isinstance(envelope, dict)
                 or envelope.get("schema") != _SCHEMA_VERSION
-                or envelope.get("key") != self.key(experiment_id, config, seed)
+                or envelope.get("key") != key
                 or not isinstance(envelope.get("payload"), dict)
             ):
                 raise ValueError("bad cache envelope")
@@ -214,10 +218,11 @@ class ResultCache:
         payload: Mapping[str, Any],
     ) -> Path:
         """Atomically store ``payload`` for the given content key."""
-        path = self.entry_path(experiment_id, config, seed)
+        key = self.key(experiment_id, config, seed)
+        path = self._path(key)
         envelope = {
             "schema": _SCHEMA_VERSION,
-            "key": self.key(experiment_id, config, seed),
+            "key": key,
             "experiment_id": experiment_id,
             "seed": seed,
             "config": dict(config),

@@ -43,6 +43,7 @@ from ..netsim.timeline import Timeline
 __all__ = [
     "SCENARIO_TOPOLOGIES",
     "ScenarioSpec",
+    "digest_json",
     "run_scenario",
     "scenario_summary_keys",
 ]
@@ -87,6 +88,15 @@ def _norm_partitions(entries) -> Tuple[Tuple[int, int, float], ...]:
         start, end, fraction = entry
         normalized.add((int(start), int(end), float(fraction)))
     return tuple(sorted(normalized))
+
+
+def digest_json(canonical: str) -> str:
+    """Hex sha256 of a spec's :meth:`~ScenarioSpec.canonical_json` text.
+
+    Lets a caller that already holds the canonical form digest it
+    without serializing the spec a second time.
+    """
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -321,9 +331,7 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Stable content digest over every field (hex sha256)."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()
+        return digest_json(self.canonical_json())
 
     # ------------------------------------------------------------------
     # Compilation

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..parallel import FailurePolicy, ResultCache, Trial, TrialEngine
 from ..rng import derive_seed
-from ..scenarios.spec import ScenarioSpec, run_scenario
+from ..scenarios.spec import ScenarioSpec, digest_json, run_scenario
 
 __all__ = ["SWEEP_EXPERIMENT_ID", "SweepResult", "run_sweep", "sweep_seed"]
 
@@ -110,7 +110,8 @@ def run_sweep(
     """
     if not specs:
         raise ConfigurationError("sweep needs at least one spec")
-    digests = [spec.digest() for spec in specs]
+    canonicals = [spec.canonical_json() for spec in specs]
+    digests = [digest_json(text) for text in canonicals]
     seeds = [derive_seed(root_seed, f"sweep:{d}") for d in digests]
     summaries: List[Optional[Dict[str, object]]] = [None] * len(specs)
     cached = 0
@@ -131,7 +132,7 @@ def run_sweep(
                 experiment_id=SWEEP_EXPERIMENT_ID,
                 index=position,
                 seed=seeds[position],
-                params=(("spec", specs[position].canonical_json()),),
+                params=(("spec", canonicals[position]),),
             )
         )
     failures: List[Tuple[int, str]] = []
