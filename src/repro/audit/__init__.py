@@ -1,4 +1,4 @@
-"""repro-audit: whole-program seed-flow & effect analysis.
+"""The audit tier: whole-program seed-flow & effect analysis.
 
 The per-file linter (:mod:`repro.lint`) certifies each file in
 isolation; this package certifies the *composition*: it resolves the
@@ -15,7 +15,9 @@ Public surface::
     report.ok            # no unsanctioned cross-file findings
     report.findings      # RPL2xx + RPL900 findings, sorted
 
-Command line: ``repro-audit`` (or ``python -m repro.audit``).
+Command line: the audit tier of ``repro-check``.  Every whole-program
+tier builds its context from one :class:`AnalysisSession` (one parse,
+one call graph per flavour) and runs through :func:`run_tier`.
 """
 
 from .callgraph import (
@@ -34,20 +36,14 @@ from .manifest import (
     render_manifest,
 )
 from .project import ClassNode, FunctionNode, MODULE_BODY, ModuleRecord, Project
-from .rules import (
-    AUDIT_RULES,
-    AuditContext,
-    AuditReport,
-    AuditRule,
-    audit_rule_by_identifier,
-    run_audit,
-)
+from .rules import AUDIT_RULES, AuditContext, AuditRule, build_context, run_audit
+from .session import AnalysisSession, TierReport
 from .workers import Worker, find_workers
 
 __all__ = [
     "AUDIT_RULES",
+    "AnalysisSession",
     "AuditContext",
-    "AuditReport",
     "AuditRule",
     "CallGraph",
     "CallSite",
@@ -61,10 +57,11 @@ __all__ = [
     "MODULE_BODY",
     "ModuleRecord",
     "Project",
+    "TierReport",
     "TracedEffect",
     "Worker",
-    "audit_rule_by_identifier",
     "build_call_graph",
+    "build_context",
     "build_manifest",
     "diff_manifest",
     "direct_effects",

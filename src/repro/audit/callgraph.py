@@ -78,18 +78,10 @@ def function_body_walk(record: ModuleRecord, fn: FunctionNode):
     included.  For a real function it is the full subtree, nested defs
     included: a nested function is part of its owner's behavior.
     """
-    tree = record.info.tree
     if fn.qualname != MODULE_BODY:
-        for stmt in tree.body:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.lineno == fn.lineno
-                ):
-                    yield from ast.walk(node)
-                    return
+        yield from ast.walk(record.defs[fn.qualname])
         return
-    stack: List[ast.AST] = list(tree.body)
+    stack: List[ast.AST] = list(record.info.tree.body)
     while stack:
         node = stack.pop()
         yield node
@@ -230,7 +222,7 @@ def build_call_graph(project: Project, inheritance: bool = False) -> CallGraph:
     (at runtime ``self`` may be any subclass instance).  The default
     keeps the original same-class-only behavior so existing audit
     output — including ``AUDIT_MANIFEST.json`` — is unchanged; the
-    ``repro-vec`` hot-path pass opts in.
+    vec tier's hot-path pass opts in.
     """
     hierarchy = ClassHierarchy(project) if inheritance else None
     graph = CallGraph()

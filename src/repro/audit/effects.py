@@ -123,9 +123,6 @@ class TracedEffect:
     effect: Effect
     trace: Tuple[str, ...]  # fq function ids, worker first
 
-    def render_trace(self) -> str:
-        return " -> ".join(self.trace)
-
 
 @dataclass
 class EffectClosure:
@@ -161,7 +158,7 @@ def _rule_effects(record: ModuleRecord) -> List[Effect]:
     effects: List[Effect] = []
     for rule_id, kind in _RULE_EFFECTS:
         rule = rule_by_identifier(rule_id)
-        for finding in rule.check(record.info):
+        for finding in record.info.check(rule):
             fn = record.function_at_line(finding.line)
             effects.append(
                 Effect(

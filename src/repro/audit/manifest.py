@@ -9,7 +9,7 @@ intentional, where, and under which suppression.
 
 The file is deterministically rendered (sorted keys, sorted workers,
 sorted effect lists, no line numbers — so pure-motion refactors don't
-churn it).  ``repro-audit --check-manifest`` re-derives the manifest
+churn it).  ``repro-check --check-manifests`` re-derives the manifest
 from source and fails CI with a unified diff when the committed copy
 has drifted: any change to a worker's effect surface must land in the
 same commit as the manifest update acknowledging it.

@@ -29,12 +29,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lint.core import (
     Finding,
-    ImportMap,
     ModuleInfo,
-    PARSE_ERROR_ID,
     Suppressions,
     iter_python_files,
     module_dotted_path,
+    parse_module,
     parse_suppressions,
 )
 from ..lint.rules.state import module_mutables
@@ -97,6 +96,9 @@ class ModuleRecord:
     functions: Dict[str, FunctionNode] = field(default_factory=dict)
     classes: Dict[str, ClassNode] = field(default_factory=dict)
     mutables: Dict[str, Tuple[int, str]] = field(default_factory=dict)
+    #: qualname -> the ``def`` node of every entry in ``functions``
+    #: except ``<module>``, so a body walk never re-searches the tree.
+    defs: Dict[str, ast.AST] = field(default_factory=dict)
 
     def function_at_line(self, line: int) -> FunctionNode:
         """Innermost enclosing function of a source line (else ``<module>``).
@@ -138,11 +140,13 @@ def _function_span(fn: ast.AST) -> Tuple[int, int]:
     return fn.lineno, end
 
 
-def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
+def _build_record(
+    name: str, info: ModuleInfo, suppressions: Suppressions
+) -> ModuleRecord:
     record = ModuleRecord(
         name=name,
         info=info,
-        suppressions=parse_suppressions(info.source),
+        suppressions=suppressions,
         mutables=module_mutables(info),
     )
     tree = info.tree
@@ -152,16 +156,21 @@ def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
     record.functions[MODULE_BODY] = FunctionNode(
         module=name, qualname=MODULE_BODY, params=(), lineno=1, end_lineno=module_end
     )
+
+    def add_function(qualname: str, node: ast.AST) -> None:
+        lineno, end = _function_span(node)
+        record.functions[qualname] = FunctionNode(
+            module=name,
+            qualname=qualname,
+            params=_param_names(node),
+            lineno=lineno,
+            end_lineno=end,
+        )
+        record.defs[qualname] = node
+
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            lineno, end = _function_span(stmt)
-            record.functions[stmt.name] = FunctionNode(
-                module=name,
-                qualname=stmt.name,
-                params=_param_names(stmt),
-                lineno=lineno,
-                end_lineno=end,
-            )
+            add_function(stmt.name, stmt)
         elif isinstance(stmt, ast.ClassDef):
             methods: List[str] = []
             fields: List[str] = []
@@ -174,14 +183,7 @@ def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{stmt.name}.{item.name}"
-                    lineno, end = _function_span(item)
-                    record.functions[qualname] = FunctionNode(
-                        module=name,
-                        qualname=qualname,
-                        params=_param_names(item),
-                        lineno=lineno,
-                        end_lineno=end,
-                    )
+                    add_function(qualname, item)
                     methods.append(qualname)
                     if item.name == "__init__":
                         # drop ``self``
@@ -248,36 +250,26 @@ class Project:
                 skipped.append(posix)
                 continue
             source = file_path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=posix)
-            except SyntaxError as exc:
-                failures.append(
-                    Finding(
-                        path=posix,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        rule_id=PARSE_ERROR_ID,
-                        rule_name="parse-error",
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                )
+            info = parse_module(source, posix, module=dotted, is_package=is_package)
+            if isinstance(info, Finding):
+                failures.append(info)
                 continue
             directives = parse_suppressions(source)
             if suppressions == "all" and directives.file_disabled:
                 skipped.append(posix)
                 continue
-            info = ModuleInfo(
-                path=posix,
-                source=source,
-                tree=tree,
-                imports=ImportMap(tree, module=dotted, is_package=is_package),
-                module=dotted,
-            )
             if dotted not in modules:  # first spelling wins (paths are sorted)
-                modules[dotted] = _build_record(dotted, info)
+                modules[dotted] = _build_record(dotted, info, directives)
         return cls(modules, failures, skipped)
 
     # ------------------------------------------------------------------
+    def function_at(self, path: str, line: int) -> str:
+        """Fully qualified function owning ``path:line`` (ledger key)."""
+        for record in self.modules.values():
+            if record.info.path == path:
+                return record.function_at_line(line).fq
+        return "<unknown>"
+
     def module_of(self, canonical: str) -> Optional[Tuple[str, List[str]]]:
         """Longest project-module prefix of a dotted name + remainder."""
         parts = canonical.split(".")

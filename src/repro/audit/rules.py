@@ -31,29 +31,37 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lint.core import Finding
-from .callgraph import CallGraph, build_call_graph, function_body_walk
+from ..lint.rules import select_rules
+from .callgraph import function_body_walk
 from .effects import (
     Effect,
     EffectClosure,
     IMPURE_KINDS,
     STATE_KINDS,
-    TracedEffect,
     direct_effects,
     effect_closure,
 )
 from .project import MODULE_BODY, FunctionNode, ModuleRecord, Project
-from .workers import Worker, find_workers
+from .session import (
+    AnalysisSession,
+    ProjectContext,
+    ProjectRule,
+    TierReport,
+    run_tier,
+    short_trace,
+)
+from .workers import Worker
 
 __all__ = [
     "AUDIT_RULES",
     "AuditContext",
-    "AuditReport",
     "AuditRule",
-    "audit_rule_by_identifier",
+    "build_context",
     "run_audit",
 ]
 
@@ -61,48 +69,16 @@ _SEED_PARAM_RE = re.compile(r"^(seed|seeds|rng|root_seed|.*_seed|.*_rng)$")
 
 
 @dataclass
-class AuditContext:
+class AuditContext(ProjectContext):
     """Everything a cross-file rule may inspect."""
 
-    project: Project
-    graph: CallGraph
     effects: Dict[str, List[Effect]]
     workers: List[Worker]
     closures: Dict[str, EffectClosure]
 
-    def record_of(self, fn: FunctionNode) -> ModuleRecord:
-        return self.project.modules[fn.module]
 
-
-class AuditRule:
-    """Base class mirroring the lint Rule protocol, over a project."""
-
-    rule_id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, context: AuditContext) -> List[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, record: ModuleRecord, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=record.info.path,
-            line=line,
-            col=col,
-            rule_id=self.rule_id,
-            rule_name=self.name,
-            message=message,
-        )
-
-
-def _short_trace(traced: TracedEffect, limit: int = 5) -> str:
-    chain = traced.trace
-    if len(chain) > limit:
-        chain = chain[:2] + ("...",) + chain[-2:]
-    return " -> ".join(chain)
+class AuditRule(ProjectRule):
+    """An RPL2xx rule: ``check`` receives an :class:`AuditContext`."""
 
 
 class ImpureWorkerRule(AuditRule):
@@ -136,7 +112,7 @@ class ImpureWorkerRule(AuditRule):
                         f"{worker.role} worker '{worker.fq}' transitively "
                         f"reaches {effect.kind} at {effect.module}:"
                         f"{effect.line} ({effect.detail}) via "
-                        f"{_short_trace(traced)}",
+                        f"{short_trace(traced.trace, limit=5, tail=2)}",
                     )
                 )
         return findings
@@ -266,6 +242,21 @@ class SeedFlowRule(AuditRule):
         return findings
 
 
+def fingerprint_covers(declared: Set[str], module: str) -> bool:
+    """Whether a FINGERPRINT_MODULES declaration covers ``module``.
+
+    A declared package covers its subtree; declaring any descendant
+    covers the ancestor ``__init__`` modules, which
+    ``code_fingerprint()`` hashes automatically.
+    """
+    return any(
+        module == name
+        or module.startswith(name + ".")
+        or name.startswith(module + ".")
+        for name in declared
+    )
+
+
 class StaleFingerprintRule(AuditRule):
     rule_id = "RPL204"
     name = "stale-fingerprint"
@@ -323,24 +314,12 @@ class StaleFingerprintRule(AuditRule):
                     ]
             return []
         record, lineno, declared = declaration
-
-        def covered(module: str) -> bool:
-            # A declared package covers its subtree; declaring any
-            # descendant covers the ancestor __init__ modules, which
-            # code_fingerprint() hashes automatically.
-            for name in declared:
-                if (
-                    module == name
-                    or module.startswith(name + ".")
-                    or name.startswith(module + ".")
-                ):
-                    return True
-            return False
-
         reachable: Set[str] = set()
         for worker in cached:
             reachable.update(context.closures[worker.fq].modules)
-        missing = sorted(m for m in reachable if not covered(m))
+        missing = sorted(
+            m for m in reachable if not fingerprint_covers(declared, m)
+        )
         if not missing:
             return []
         return [
@@ -366,47 +345,12 @@ AUDIT_RULES: List[AuditRule] = sorted(
 )
 
 
-def audit_rule_by_identifier(identifier: str) -> AuditRule:
-    """Look up an audit rule by ID (``RPL201``) or name (``seed-drop``)."""
-    needle = identifier.strip().lower()
-    for rule in AUDIT_RULES:
-        if needle in (rule.rule_id.lower(), rule.name.lower()):
-            return rule
-    known = ", ".join(f"{r.rule_id}/{r.name}" for r in AUDIT_RULES)
-    raise KeyError(f"unknown audit rule {identifier!r}; known rules: {known}")
-
-
-@dataclass
-class AuditReport:
-    """Outcome of one whole-program audit run."""
-
-    context: AuditContext
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _select_audit_rules(
-    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
-) -> List[AuditRule]:
-    chosen = list(AUDIT_RULES)
-    if select is not None:
-        wanted = {audit_rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {audit_rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
-
-
-def build_context(project: Project) -> AuditContext:
+def build_context(session: AnalysisSession) -> AuditContext:
     """Call graph, effects, workers, and per-worker closures."""
-    graph = build_call_graph(project)
+    project = session.project
+    graph = session.call_graph()
     effects = direct_effects(project)
-    workers = find_workers(project)
+    workers = session.workers
     closures = {
         worker.fq: effect_closure(graph, effects, worker.fq)
         for worker in workers
@@ -421,11 +365,11 @@ def build_context(project: Project) -> AuditContext:
 
 
 def run_audit(
-    paths: Sequence[Union[str, "Path"]],
+    paths: Sequence[Union[str, Path]],
     suppressions: str = "all",
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-) -> AuditReport:
+) -> TierReport:
     """Load, analyze, and apply every (selected) RPL2xx rule.
 
     ``suppressions`` follows the lint convention: ``"all"`` honours
@@ -434,22 +378,7 @@ def run_audit(
     finding's reported line are honoured in both modes; suppressed
     findings are retained separately so reports can show them.
     """
-    project = Project.load(paths, suppressions=suppressions)
-    context = build_context(project)
-    raw: List[Finding] = []
-    for rule in _select_audit_rules(select, ignore):
-        raw.extend(rule.check(context))
-    raw.extend(project.parse_failures)
-    raw.sort()
-    by_path = {
-        record.info.path: record for record in project.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        record = by_path.get(finding.path)
-        if record is not None and record.suppressions.covers(finding):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return AuditReport(context=context, findings=findings, suppressed=suppressed)
+    return run_tier(
+        select_rules(AUDIT_RULES, select, ignore),
+        build_context(AnalysisSession(paths, suppressions)),
+    )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..lint.rules.pickling import is_engine_receiver
-from .project import MODULE_BODY, FunctionNode, ModuleRecord, Project
+from .project import MODULE_BODY, FunctionNode, Project
 
 __all__ = ["Worker", "find_workers"]
 

@@ -1,4 +1,4 @@
-"""repro-flow: cache-soundness & config-flow static analysis.
+"""The flow tier: cache-soundness & config-flow static analysis.
 
 The fourth static-analysis tier.  :mod:`repro.lint` certifies each
 file's determinism in isolation (RPL1xx); :mod:`repro.audit` certifies
@@ -19,7 +19,7 @@ Public surface::
     report.ok            # no unsanctioned RPL4xx findings
     report.findings      # RPL4xx + RPL900 findings, sorted
 
-Command line: ``repro-flow`` (or ``python -m repro.flow``).
+Command line: the flow tier of ``repro-check``.
 """
 
 from .boundaries import Boundary, find_boundaries
@@ -48,12 +48,11 @@ from .manifest import (
     render_manifest,
 )
 from .rules import (
+    FLOW_RULE_IDS,
     FLOW_RULES,
     FlowContext,
-    FlowReport,
     FlowRule,
     build_flow_context,
-    flow_rule_by_identifier,
     run_flow,
 )
 
@@ -64,9 +63,9 @@ __all__ = [
     "DEFAULT_MANIFEST",
     "Derivation",
     "DigestClass",
+    "FLOW_RULE_IDS",
     "FLOW_RULES",
     "FlowContext",
-    "FlowReport",
     "FlowRule",
     "FunctionFlow",
     "INFLUENCE_KINDS",
@@ -83,7 +82,6 @@ __all__ = [
     "effective_derivations",
     "find_boundaries",
     "find_digest_classes",
-    "flow_rule_by_identifier",
     "render_manifest",
     "run_flow",
 ]

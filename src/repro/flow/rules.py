@@ -40,14 +40,24 @@ failing the run.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..audit.callgraph import CallGraph, build_call_graph, function_body_walk
-from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
-from ..audit.rules import StaleFingerprintRule
-from ..audit.workers import Worker, find_workers
+from ..audit.callgraph import CallGraph, function_body_walk
+from ..audit.project import MODULE_BODY, ModuleRecord
+from ..audit.rules import StaleFingerprintRule, fingerprint_covers
+from ..audit.session import (
+    AnalysisSession,
+    ProjectContext,
+    ProjectRule,
+    TierReport,
+    run_tier,
+    short_trace,
+)
+from ..audit.workers import Worker
 from ..lint.core import Finding
+from ..lint.rules import select_rules
 from .boundaries import Boundary, find_boundaries
 from .dataflow import RETURN, FunctionFlow
 from .digests import DigestClass, find_digest_classes
@@ -57,20 +67,16 @@ __all__ = [
     "FLOW_RULES",
     "FLOW_RULE_IDS",
     "FlowContext",
-    "FlowReport",
     "FlowRule",
     "build_flow_context",
-    "flow_rule_by_identifier",
     "run_flow",
 ]
 
 
 @dataclass
-class FlowContext:
+class FlowContext(ProjectContext):
     """Everything an RPL4xx rule may inspect."""
 
-    project: Project
-    graph: CallGraph
     flows: Dict[str, FunctionFlow]
     summaries: Dict[str, InfluenceSummary]
     boundaries: Dict[str, Boundary]
@@ -79,32 +85,9 @@ class FlowContext:
     #: ``(record, line, declared names)`` of FINGERPRINT_MODULES, if any.
     fingerprint: Optional[Tuple[ModuleRecord, int, Set[str]]]
 
-    def record_of(self, fn: FunctionNode) -> ModuleRecord:
-        return self.project.modules[fn.module]
 
-
-class FlowRule:
-    """Base class mirroring the audit/vec rule protocol."""
-
-    rule_id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, context: FlowContext) -> List[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, record: ModuleRecord, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=record.info.path,
-            line=line,
-            col=col,
-            rule_id=self.rule_id,
-            rule_name=self.name,
-            message=message,
-        )
+class FlowRule(ProjectRule):
+    """An RPL4xx rule: ``check`` receives a :class:`FlowContext`."""
 
 
 def _kinds_label(kinds: Set[str]) -> str:
@@ -229,13 +212,6 @@ def _trace_to_module(
     return tuple(reversed(chain))
 
 
-def _short_trace(trace: Tuple[str, ...], limit: int = 4) -> str:
-    chain = trace
-    if len(chain) > limit:
-        chain = chain[:2] + ("...",) + chain[-1:]
-    return " -> ".join(chain)
-
-
 class UnfingerprintedModuleRule(FlowRule):
     rule_id = "RPL403"
     name = "unfingerprinted-module"
@@ -254,22 +230,12 @@ class UnfingerprintedModuleRule(FlowRule):
             return []  # no declaration: RPL204 owns that diagnosis
         record, lineno, declared = context.fingerprint
 
-        def covered(module: str) -> bool:
-            for name in declared:
-                if (
-                    module == name
-                    or module.startswith(name + ".")
-                    or name.startswith(module + ".")
-                ):
-                    return True
-            return False
-
         #: missing module -> (worker fq, trace) exemplar, first worker wins.
         exemplars: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         for worker in sorted(context.workers, key=lambda w: w.fq):
             modules, parents = _module_closure(context.graph, worker.fq)
             for module in sorted(modules):
-                if covered(module) or module in exemplars:
+                if fingerprint_covers(declared, module) or module in exemplars:
                     continue
                 trace = _trace_to_module(
                     context.graph, parents, worker.fq, module
@@ -284,7 +250,7 @@ class UnfingerprintedModuleRule(FlowRule):
                     lineno,
                     0,
                     f"module '{module}' is reachable from worker "
-                    f"'{worker_fq}' (via {_short_trace(trace)}) but "
+                    f"'{worker_fq}' (via {short_trace(trace)}) but "
                     "absent from FINGERPRINT_MODULES — edits to it leave "
                     "stale cache entries being served",
                 )
@@ -517,45 +483,10 @@ FLOW_RULES: List[FlowRule] = sorted(
 FLOW_RULE_IDS = frozenset(rule.rule_id for rule in FLOW_RULES)
 
 
-def flow_rule_by_identifier(identifier: str) -> FlowRule:
-    """Look up a flow rule by ID (``RPL401``) or name (``key-dropped-param``)."""
-    needle = identifier.strip().lower()
-    for rule in FLOW_RULES:
-        if needle in (rule.rule_id.lower(), rule.name.lower()):
-            return rule
-    known = ", ".join(f"{r.rule_id}/{r.name}" for r in FLOW_RULES)
-    raise KeyError(f"unknown flow rule {identifier!r}; known rules: {known}")
-
-
-@dataclass
-class FlowReport:
-    """Outcome of one flow-analyzer run."""
-
-    context: FlowContext
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _select_flow_rules(
-    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
-) -> List[FlowRule]:
-    chosen = list(FLOW_RULES)
-    if select is not None:
-        wanted = {flow_rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {flow_rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
-
-
-def build_flow_context(project: Project) -> FlowContext:
+def build_flow_context(session: AnalysisSession) -> FlowContext:
     """Call graph, flows, influence fixpoint, boundaries, digest classes."""
-    graph = build_call_graph(project)
+    project = session.project
+    graph = session.call_graph()
     flows = build_flows(project)
     summaries = build_influence(project, flows)
     return FlowContext(
@@ -565,17 +496,17 @@ def build_flow_context(project: Project) -> FlowContext:
         summaries=summaries,
         boundaries=find_boundaries(flows, summaries),
         digest_classes=find_digest_classes(project),
-        workers=find_workers(project),
+        workers=session.workers,
         fingerprint=StaleFingerprintRule._fingerprint_declaration(project),
     )
 
 
 def run_flow(
-    paths: Sequence[Union[str, "Path"]],
+    paths: Sequence[Union[str, Path]],
     suppressions: str = "all",
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-) -> FlowReport:
+) -> TierReport:
     """Load, analyze, and apply every (selected) RPL4xx rule.
 
     Suppression semantics follow the audit/vec tools: ``"all"`` honours
@@ -583,22 +514,7 @@ def run_flow(
     trees); line suppressions on a finding's line move it to the
     ``suppressed`` ledger in both modes.
     """
-    project = Project.load(paths, suppressions=suppressions)
-    context = build_flow_context(project)
-    raw: List[Finding] = []
-    for rule in _select_flow_rules(select, ignore):
-        raw.extend(rule.check(context))
-    raw.extend(project.parse_failures)
-    raw.sort()
-    by_path = {
-        record.info.path: record for record in project.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        record = by_path.get(finding.path)
-        if record is not None and record.suppressions.covers(finding):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return FlowReport(context=context, findings=findings, suppressed=suppressed)
+    return run_tier(
+        select_rules(FLOW_RULES, select, ignore),
+        build_flow_context(AnalysisSession(paths, suppressions)),
+    )

@@ -1,4 +1,4 @@
-"""repro-lint: AST-based determinism & parallel-safety linter.
+"""The lint tier: AST-based determinism & parallel-safety linter.
 
 The paper's quantitative claims (the span-ratio law, the Fig. 6-8
 fork/partition curves) are only reproducible if every stochastic draw
@@ -9,7 +9,7 @@ hardest bug (``MiningPool``'s process-global ``itertools.count`` pool
 id) was found by hand.  This package makes the discipline
 machine-checked: a static-analysis pass over the repo's own source
 tree with per-rule IDs, ``# repro-lint: disable=RULE`` suppressions,
-text/JSON reporters, and a ``repro-lint`` console entry point.
+and text/JSON reporters; ``repro-check`` runs it as its first tier.
 
 Public API::
 
@@ -34,7 +34,7 @@ from .core import (
     module_dotted_path,
     parse_suppressions,
 )
-from .rules import RULES, rule_by_identifier
+from .rules import RULES, rule_by_identifier, select_rules
 
 __all__ = [
     "PARSE_ERROR_ID",
@@ -51,4 +51,5 @@ __all__ = [
     "module_dotted_path",
     "parse_suppressions",
     "rule_by_identifier",
+    "select_rules",
 ]

@@ -29,7 +29,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "FILE_DIRECTIVE_WINDOW",
@@ -45,6 +45,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "module_dotted_path",
+    "parse_module",
     "parse_suppressions",
 ]
 
@@ -207,9 +208,24 @@ class ModuleInfo:
     tree: ast.Module
     imports: ImportMap
     module: Optional[str] = None
+    #: rule ID -> that rule's raw findings here (see :meth:`check`).
+    checked: Dict[str, List[Finding]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def resolve(self, expr: ast.AST) -> Optional[str]:
         return self.imports.resolve(expr)
+
+    def check(self, rule) -> List[Finding]:
+        """``rule.check(self)``, computed once per rule and module.
+
+        The lint tier and the audit's effect inference both ask for the
+        RPL101-104 findings of every ``src`` module; the second ask is
+        served from here.
+        """
+        if rule.rule_id not in self.checked:
+            self.checked[rule.rule_id] = rule.check(self)
+        return list(self.checked[rule.rule_id])
 
 
 @dataclass
@@ -292,19 +308,35 @@ class RunReport:
         return not self.findings
 
 
-def _select_rules(
-    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
-) -> List[object]:
-    from .rules import RULES, rule_by_identifier
+def parse_module(
+    source: str,
+    path: str,
+    module: Optional[str] = None,
+    is_package: bool = False,
+) -> Union[ModuleInfo, Finding]:
+    """Parse one module, or the :data:`PARSE_ERROR_ID` finding if it fails.
 
-    chosen = list(RULES)
-    if select is not None:
-        wanted = {rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
+    The one parse path shared by the lint tier and the whole-program
+    project loader.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return Finding(
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            rule_id=PARSE_ERROR_ID,
+            rule_name="parse-error",
+            message=f"file does not parse: {exc.msg}",
+        )
+    return ModuleInfo(
+        path=path,
+        source=source,
+        tree=tree,
+        imports=ImportMap(tree, module=module, is_package=is_package),
+        module=module,
+    )
 
 
 def lint_source(
@@ -330,33 +362,30 @@ def lint_source(
     """
     if suppressions not in ("all", "line", "none"):
         raise ValueError(f"unknown suppressions mode: {suppressions!r}")
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        finding = Finding(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule_id=PARSE_ERROR_ID,
-            rule_name="parse-error",
-            message=f"file does not parse: {exc.msg}",
-        )
-        return FileReport(path=path, findings=[finding], suppressed=[])
+    parsed = parse_module(source, path, module=module, is_package=is_package)
+    if isinstance(parsed, Finding):
+        return FileReport(path=path, findings=[parsed], suppressed=[])
+    return _check_module(
+        parsed, parse_suppressions(source), select, ignore, suppressions
+    )
 
-    directives = parse_suppressions(source)
+
+def _check_module(
+    module: ModuleInfo,
+    directives: Suppressions,
+    select: Optional[Iterable[str]],
+    ignore: Optional[Iterable[str]],
+    suppressions: str,
+) -> FileReport:
+    """Run the selected rules over one parsed module."""
+    from .rules import RULES, select_rules
+
+    path = module.path
     if suppressions == "all" and directives.file_disabled:
         return FileReport(path=path, findings=[], suppressed=[], file_suppressed=True)
-
-    module = ModuleInfo(
-        path=path,
-        source=source,
-        tree=tree,
-        imports=ImportMap(tree, module=module, is_package=is_package),
-        module=module,
-    )
     raw: List[Finding] = []
-    for rule in _select_rules(select, ignore):
-        raw.extend(rule.check(module))
+    for rule in select_rules(RULES, select, ignore):
+        raw.extend(module.check(rule))
     raw.sort()
 
     if suppressions == "none":
@@ -390,7 +419,8 @@ def lint_file(
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     """Expand files/directories into a sorted, de-duplicated file list.
 
-    Shared by repro-lint and repro-audit discovery.  Guarantees:
+    Shared by the lint tier and the whole-program project loader.
+    Guarantees:
 
     - deterministic posix-path ordering regardless of input order or
       filesystem enumeration order;
@@ -423,44 +453,31 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return [path for _, path in collected]
 
 
-def _lint_file_task(
-    task: Tuple[Path, Optional[List[str]], Optional[List[str]], str]
-) -> FileReport:
-    """Module-level pool worker (picklable by reference, RPL105-clean)."""
-    path, select, ignore, suppressions = task
-    return lint_file(path, select=select, ignore=ignore, suppressions=suppressions)
-
-
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     suppressions: str = "all",
-    jobs: int = 1,
+    parsed: Optional[Mapping[str, Tuple[ModuleInfo, Suppressions]]] = None,
 ) -> RunReport:
     """Lint every ``*.py`` under ``paths``; the main library entry point.
 
-    ``jobs > 1`` fans the per-file analysis over a process pool.  Files
-    are analyzed independently and reassembled in discovery order, so
-    the report — and its rendered text/JSON — is identical to the
-    serial run regardless of worker count or scheduling.
+    ``parsed`` maps posix paths to modules some other pass already
+    parsed (``repro-check`` hands over its whole-program project); those
+    files are checked from the shared tree instead of being read,
+    parsed, and tokenized again.  The report is the same either way.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    files = iter_python_files(paths)
+    if suppressions not in ("all", "line", "none"):
+        raise ValueError(f"unknown suppressions mode: {suppressions!r}")
     select = list(select) if select is not None else None
     ignore = list(ignore) if ignore is not None else None
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-
-        tasks = [(path, select, ignore, suppressions) for path in files]
-        with multiprocessing.Pool(processes=min(jobs, len(files))) as pool:
-            reports = pool.map(_lint_file_task, tasks)
-    else:
-        reports = [
-            lint_file(
-                path, select=select, ignore=ignore, suppressions=suppressions
-            )
-            for path in files
-        ]
+    parsed = parsed or {}
+    reports = []
+    for path in iter_python_files(paths):
+        known = parsed.get(path.as_posix())
+        reports.append(
+            lint_file(path, select=select, ignore=ignore, suppressions=suppressions)
+            if known is None
+            else _check_module(*known, select, ignore, suppressions)
+        )
     return RunReport(files=reports)

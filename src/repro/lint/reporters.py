@@ -12,7 +12,13 @@ from typing import Any, Dict
 
 from .core import RunReport
 
-__all__ = ["JSON_SCHEMA_VERSION", "render_json", "render_text", "summary_dict"]
+__all__ = [
+    "JSON_SCHEMA_VERSION",
+    "render_json",
+    "render_text",
+    "report_dict",
+    "summary_dict",
+]
 
 #: Bump when the JSON envelope shape changes (consumed by CI tooling).
 JSON_SCHEMA_VERSION = 1
@@ -31,8 +37,8 @@ def summary_dict(report: RunReport) -> Dict[str, Any]:
 def render_text(report: RunReport, prog: str = "repro-lint") -> str:
     """One ``path:line:col: ID [name] message`` line per finding + summary.
 
-    ``prog`` labels the summary line; ``repro-audit`` reuses this
-    renderer over its own findings.
+    ``prog`` labels the summary line; ``repro-check`` passes the name
+    of the tier that produced the report.
     """
     lines = [
         f"{finding.location()}: {finding.rule_id} [{finding.rule_name}] "
@@ -59,9 +65,9 @@ def render_text(report: RunReport, prog: str = "repro-lint") -> str:
     return "\n".join(lines)
 
 
-def render_json(report: RunReport) -> str:
-    """Stable-schema JSON: ``{"version", "findings", "summary"}``."""
-    payload = {
+def report_dict(report: RunReport) -> Dict[str, Any]:
+    """Stable-schema payload: ``{"version", "findings", "summary"}``."""
+    return {
         "version": JSON_SCHEMA_VERSION,
         "findings": [
             {
@@ -76,4 +82,8 @@ def render_json(report: RunReport) -> str:
         ],
         "summary": summary_dict(report),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def render_json(report: RunReport) -> str:
+    """:func:`report_dict` as indented, key-sorted JSON."""
+    return json.dumps(report_dict(report), indent=2, sort_keys=True)

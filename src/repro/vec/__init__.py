@@ -1,4 +1,4 @@
-"""repro-vec: dtype/shape & hot-loop static analysis.
+"""The vec tier: dtype/shape & hot-loop static analysis.
 
 The third static-analysis tier.  :mod:`repro.lint` certifies each file's
 determinism in isolation (RPL1xx); :mod:`repro.audit` certifies the
@@ -18,7 +18,7 @@ Public surface::
     report.ok            # no unsanctioned RPL3xx findings
     report.findings      # RPL3xx + RPL900 findings, sorted
 
-Command line: ``repro-vec`` (or ``python -m repro.vec``).
+Command line: the vec tier of ``repro-check``.
 """
 
 from .facts import ArrayFact, DType, parse_dtype, promote
@@ -37,13 +37,12 @@ from .manifest import (
     render_manifest,
 )
 from .rules import (
+    LOOP_RULE_IDS,
     VEC_RULES,
     VecContext,
-    VecReport,
     VecRule,
     build_vec_context,
     run_vec,
-    vec_rule_by_identifier,
 )
 
 __all__ = [
@@ -53,10 +52,10 @@ __all__ = [
     "FunctionFacts",
     "HOT_ENTRY_METHODS",
     "HOT_MODULE_RE",
+    "LOOP_RULE_IDS",
     "MANIFEST_SCHEMA_VERSION",
     "VEC_RULES",
     "VecContext",
-    "VecReport",
     "VecRule",
     "build_manifest",
     "build_vec_context",
@@ -70,5 +69,4 @@ __all__ = [
     "promote",
     "render_manifest",
     "run_vec",
-    "vec_rule_by_identifier",
 ]

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..audit.callgraph import ClassHierarchy, function_body_walk
+from ..audit.callgraph import ClassHierarchy
 from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
 from .facts import ArrayFact, BOOL, DType, FLOAT64, INT64, parse_dtype, promote
 
@@ -885,7 +885,3 @@ def infer_function(
 ) -> FunctionFacts:
     """Interpret one function and return its facts + event streams."""
     return _Inferencer(record, fn, attr_facts=attr_facts).run()
-
-
-# re-exported for the rules' convenience
-function_body_walk = function_body_walk

@@ -10,7 +10,7 @@ acceptable and where.
 
 Entries are keyed line-free (rule, owning function, message) so pure
 code motion doesn't churn the file, and the whole payload is rendered
-deterministically (sorted keys/lists).  ``repro-vec --check-manifest``
+deterministically (sorted keys/lists).  ``repro-check --check-manifests``
 re-derives it from source and fails CI with a unified diff on drift:
 new vectorization debt in a hot path — or a change to what is hot —
 must land in the same commit as the manifest update acknowledging it.
@@ -18,10 +18,11 @@ must land in the same commit as the manifest update acknowledging it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
+from ..audit.session import TierReport, sanction_ledger
 from ..lint.manifest import diff_manifest, render_manifest
-from .rules import LOOP_RULE_IDS, VecReport
+from .rules import LOOP_RULE_IDS
 
 __all__ = [
     "DEFAULT_MANIFEST",
@@ -38,34 +39,11 @@ DEFAULT_MANIFEST = "VEC_MANIFEST.json"
 MANIFEST_SCHEMA_VERSION = 1
 
 
-def _function_of(report: VecReport, path: str, line: int) -> str:
-    for record in report.context.project.modules.values():
-        if record.info.path == path:
-            return record.function_at_line(line).fq
-    return "<unknown>"
-
-
-def build_manifest(report: VecReport) -> Dict[str, Any]:
+def build_manifest(report: TierReport) -> Dict[str, Any]:
     """The manifest payload, pure data, deterministically ordered."""
-    sanctioned: List[Dict[str, str]] = []
-    seen = set()
-    for finding in report.suppressed:
-        if finding.rule_id not in LOOP_RULE_IDS:
-            continue
-        entry = {
-            "rule": finding.rule_id,
-            "function": _function_of(report, finding.path, finding.line),
-            "detail": finding.message,
-        }
-        key = (entry["rule"], entry["function"], entry["detail"])
-        if key in seen:
-            continue
-        seen.add(key)
-        sanctioned.append(entry)
-    sanctioned.sort(key=lambda e: (e["rule"], e["function"], e["detail"]))
     return {
         "version": MANIFEST_SCHEMA_VERSION,
         "hot_roots": sorted(fn.fq for fn in report.context.roots),
         "hot_functions": sorted(report.context.hot),
-        "sanctioned_loops": sanctioned,
+        "sanctioned_loops": sanction_ledger(report, LOOP_RULE_IDS),
     }

@@ -20,19 +20,23 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Pattern, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..lint.core import Finding
-from ..audit.callgraph import (
-    CallGraph,
-    ClassHierarchy,
-    build_call_graph,
-    function_body_walk,
+from ..audit.callgraph import ClassHierarchy, function_body_walk
+from ..audit.project import MODULE_BODY, FunctionNode
+from ..audit.session import (
+    AnalysisSession,
+    ProjectContext,
+    ProjectRule,
+    TierReport,
+    run_tier,
+    short_trace,
 )
-from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
-from .facts import ArrayFact
-from .hot import HOT_MODULE_RE, hot_closure, hot_roots
+from ..lint.core import Finding
+from ..lint.rules import select_rules
+from .hot import hot_closure, hot_roots
 from .infer import (
     FunctionFacts,
     class_attribute_facts,
@@ -41,13 +45,12 @@ from .infer import (
 )
 
 __all__ = [
+    "LOOP_RULE_IDS",
     "VEC_RULES",
     "VecContext",
-    "VecReport",
     "VecRule",
     "build_vec_context",
     "run_vec",
-    "vec_rule_by_identifier",
 ]
 
 #: Identifier words that mark a collection as node/edge-scale.
@@ -87,19 +90,10 @@ def _scale_name(identifier: str) -> bool:
     return any(word in _SCALE_WORDS for word in identifier.lower().split("_"))
 
 
-def _short_trace(trace: Tuple[str, ...], limit: int = 4) -> str:
-    chain = trace
-    if len(chain) > limit:
-        chain = chain[:2] + ("...",) + chain[-1:]
-    return " -> ".join(chain)
-
-
 @dataclass
-class VecContext:
+class VecContext(ProjectContext):
     """Everything an RPL3xx rule may inspect."""
 
-    project: Project
-    graph: CallGraph
     hierarchy: ClassHierarchy
     #: fq -> interpreted facts, for every analyzed function.
     facts: Dict[str, FunctionFacts]
@@ -107,37 +101,14 @@ class VecContext:
     hot: Dict[str, Tuple[str, ...]]
     roots: List[FunctionNode]
 
-    def record_of(self, fn: FunctionNode) -> ModuleRecord:
-        return self.project.modules[fn.module]
-
     def hot_facts(self) -> List[FunctionFacts]:
         return [
             self.facts[fq] for fq in sorted(self.hot) if fq in self.facts
         ]
 
 
-class VecRule:
-    """Base class mirroring the audit rule protocol."""
-
-    rule_id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, context: VecContext) -> List[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, record: ModuleRecord, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=record.info.path,
-            line=line,
-            col=col,
-            rule_id=self.rule_id,
-            rule_name=self.name,
-            message=message,
-        )
+class VecRule(ProjectRule):
+    """An RPL3xx rule: ``check`` receives a :class:`VecContext`."""
 
 
 class EncodeOverflowRule(VecRule):
@@ -361,7 +332,7 @@ class HotPythonLoopRule(VecRule):
                         event.col,
                         f"{event.kind} loop over '{event.iterable}' in hot "
                         f"function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}) iterates node/edge-scale "
+                        f"{short_trace(trace)}) iterates node/edge-scale "
                         "data in Python; vectorize or sanction with a "
                         "reason",
                     )
@@ -392,7 +363,7 @@ class HotLoopAllocRule(VecRule):
                         event.col,
                         f"array allocation '{event.what}' inside a loop in "
                         f"hot function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}); hoist the buffer out of "
+                        f"{short_trace(trace)}); hoist the buffer out of "
                         "the loop and reuse it",
                     )
                 )
@@ -423,7 +394,7 @@ class HotRebuildRule(VecRule):
                         event.col,
                         f"'{event.callee}' rebuilds a topology structure "
                         f"inside hot function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}); structures are run "
+                        f"{short_trace(trace)}); structures are run "
                         "invariants — build once outside the step loop",
                     )
                 )
@@ -465,45 +436,7 @@ VEC_RULES: List[VecRule] = sorted(
 LOOP_RULE_IDS = frozenset({"RPL311", "RPL312", "RPL313"})
 
 
-def vec_rule_by_identifier(identifier: str) -> VecRule:
-    """Look up a vec rule by ID (``RPL311``) or name (``hot-python-loop``)."""
-    needle = identifier.strip().lower()
-    for rule in VEC_RULES:
-        if needle in (rule.rule_id.lower(), rule.name.lower()):
-            return rule
-    known = ", ".join(f"{r.rule_id}/{r.name}" for r in VEC_RULES)
-    raise KeyError(f"unknown vec rule {identifier!r}; known rules: {known}")
-
-
-@dataclass
-class VecReport:
-    """Outcome of one vec-analyzer run."""
-
-    context: VecContext
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _select_vec_rules(
-    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
-) -> List[VecRule]:
-    chosen = list(VEC_RULES)
-    if select is not None:
-        wanted = {vec_rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {vec_rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
-
-
-def build_vec_context(
-    project: Project, hot_module_re: Pattern = HOT_MODULE_RE
-) -> VecContext:
+def build_vec_context(session: AnalysisSession) -> VecContext:
     """Inheritance-aware graph, hot closure, and per-function facts.
 
     Facts are inferred for every function in a numpy-importing module
@@ -512,10 +445,11 @@ def build_vec_context(
     helpers).  Module bodies are not interpreted: import-time code is
     one-shot.
     """
-    graph = build_call_graph(project, inheritance=True)
+    project = session.project
+    graph = session.call_graph(inheritance=True)
     hierarchy = ClassHierarchy(project)
     attr_facts = class_attribute_facts(project, hierarchy)
-    roots = hot_roots(project, module_re=hot_module_re)
+    roots = hot_roots(project)
     hot = hot_closure(graph, roots)
     facts: Dict[str, FunctionFacts] = {}
     for record in project.modules.values():
@@ -541,12 +475,11 @@ def build_vec_context(
 
 
 def run_vec(
-    paths: Sequence[Union[str, "Path"]],
+    paths: Sequence[Union[str, Path]],
     suppressions: str = "all",
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    hot_module_re: Pattern = HOT_MODULE_RE,
-) -> VecReport:
+) -> TierReport:
     """Load, analyze, and apply every (selected) RPL3xx rule.
 
     Suppression semantics follow the audit: ``"all"`` honours
@@ -554,22 +487,7 @@ def run_vec(
     trees); line suppressions on a finding's line move it to the
     ``suppressed`` ledger in both modes.
     """
-    project = Project.load(paths, suppressions=suppressions)
-    context = build_vec_context(project, hot_module_re=hot_module_re)
-    raw: List[Finding] = []
-    for rule in _select_vec_rules(select, ignore):
-        raw.extend(rule.check(context))
-    raw.extend(project.parse_failures)
-    raw.sort()
-    by_path = {
-        record.info.path: record for record in project.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        record = by_path.get(finding.path)
-        if record is not None and record.suppressions.covers(finding):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return VecReport(context=context, findings=findings, suppressed=suppressed)
+    return run_tier(
+        select_rules(VEC_RULES, select, ignore),
+        build_vec_context(AnalysisSession(paths, suppressions)),
+    )

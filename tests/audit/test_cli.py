@@ -1,13 +1,23 @@
-"""``repro-audit`` CLI contract: exit codes, formats, manifest gating."""
+"""CLI contract of the audit tier: exit codes, formats, manifest gating.
+
+Drives ``repro-check`` with the other three tiers skipped; the
+cross-tier behaviour of the one CLI lives in ``tests/check``.
+"""
 
 import json
 
 import pytest
 
 from repro.audit import AUDIT_RULES, DEFAULT_MANIFEST
-from repro.audit.cli import _DEFAULT_PATHS, main
+from repro.check import PROGRAM_ROOTS
+from repro.check import main as check_main
 
 from .conftest import FIXTURES
+
+
+def main(argv):
+    """``repro-check`` restricted to the audit tier."""
+    return check_main(list(argv) + ["--skip", "lint,vec,flow"])
 
 GOOD_TREE = str(FIXTURES / "rpl204_good")
 
@@ -62,7 +72,7 @@ class TestExitCodes:
 
     def test_two_on_unknown_rule(self, capsys):
         assert main([GOOD_TREE, "--select", "RPL999"]) == 2
-        assert "unknown audit rule" in capsys.readouterr().err
+        assert "unknown rule" in capsys.readouterr().err
 
     def test_two_on_missing_path(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
@@ -77,7 +87,7 @@ class TestDefaults:
     def test_default_audit_root_is_src(self):
         """The production audit surface is the importable source tree;
         fixtures and scripts have no importable dotted path there."""
-        assert _DEFAULT_PATHS == ["src"]
+        assert PROGRAM_ROOTS == ("src",)
 
     def test_default_manifest_name_pinned(self):
         assert DEFAULT_MANIFEST == "AUDIT_MANIFEST.json"
@@ -86,7 +96,7 @@ class TestDefaults:
 class TestJsonFormat:
     def test_same_envelope_as_repro_lint(self, bad_tree, capsys):
         assert main([bad_tree, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["tools"]["audit"]["report"]
         assert set(payload) == {"version", "findings", "summary"}
         for finding in payload["findings"]:
             assert set(finding) == {
@@ -103,35 +113,46 @@ class TestJsonFormat:
 
 
 class TestManifestFlow:
-    def test_write_then_check_roundtrip(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--write-manifest"]) == 0
+    """The ledger lives at its fixed name in the working directory."""
+
+    def test_write_then_check_roundtrip(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / DEFAULT_MANIFEST
+        assert main([GOOD_TREE, "--write-manifests"]) == 0
         assert manifest.exists()
         capsys.readouterr()
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 0
-        assert "is current" in capsys.readouterr().out
+        assert main([GOOD_TREE, "--check-manifests"]) == 0
+        assert "is current" in capsys.readouterr().err
 
-    def test_check_fails_on_drift_with_diff(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        main([GOOD_TREE, "--manifest", str(manifest), "--write-manifest"])
+    def test_check_fails_on_drift_with_diff(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / DEFAULT_MANIFEST
+        main([GOOD_TREE, "--write-manifests"])
         capsys.readouterr()
         stale = json.loads(manifest.read_text(encoding="utf-8"))
         stale["artifacts"] = []
         manifest.write_text(json.dumps(stale, indent=2, sort_keys=True) + "\n")
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 1
+        assert main([GOOD_TREE, "--check-manifests"]) == 1
         err = capsys.readouterr().err
-        assert "manifest drift" in err and "--write-manifest" in err
+        assert "manifest drift" in err and "--write-manifests" in err
+        assert '-  "artifacts": [],' in err
 
-    def test_check_fails_when_manifest_missing(self, tmp_path, capsys):
-        manifest = tmp_path / "absent.json"
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 1
+    def test_check_fails_when_manifest_missing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([GOOD_TREE, "--check-manifests"]) == 1
         capsys.readouterr()
 
-    def test_committed_manifest_passes_check(self, capsys):
-        """The CI gate, exercised exactly as CI runs it."""
-        assert main(["--check-manifest"]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out and "is current" in out
+    def test_committed_manifest_passes_check(self, real_tree):
+        """The CI gate's audit half, over the session's real-tree run."""
+        from pathlib import Path
+
+        from repro.audit import build_manifest, diff_manifest
+
+        report = real_tree["audit"]
+        assert report.ok
+        repo_root = Path(__file__).resolve().parents[2]
+        manifest = build_manifest(report.context)
+        assert diff_manifest(manifest, repo_root / DEFAULT_MANIFEST) is None
 
 
 class TestListRules:

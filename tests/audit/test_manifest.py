@@ -1,6 +1,7 @@
 """Manifest determinism, drift detection, and churn resistance."""
 
 import json
+from pathlib import Path
 
 from repro.audit import (
     DEFAULT_MANIFEST,
@@ -11,6 +12,8 @@ from repro.audit import (
 )
 
 from .conftest import FIXTURES
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _context(tree):
@@ -76,14 +79,16 @@ class TestDrift:
 
 
 class TestCommittedManifest:
-    def test_committed_manifest_is_current(self):
+    def test_committed_manifest_is_current(self, real_tree):
         """CI's contract: AUDIT_MANIFEST.json matches the source tree."""
-        report = run_audit(["src"])
+        report = real_tree["audit"]
         manifest = build_manifest(report.context)
-        assert diff_manifest(manifest, DEFAULT_MANIFEST) is None
+        assert diff_manifest(manifest, REPO_ROOT / DEFAULT_MANIFEST) is None
 
     def test_committed_manifest_covers_all_artifacts(self):
-        committed = json.loads(open(DEFAULT_MANIFEST).read())
+        committed = json.loads(
+            (REPO_ROOT / DEFAULT_MANIFEST).read_text(encoding="utf-8")
+        )
         assert len(committed["artifacts"]) == 13
         entry_workers = [
             w for w in committed["workers"].values() if w["role"] == "entry"

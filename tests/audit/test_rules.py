@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit import AUDIT_RULES, audit_rule_by_identifier, run_audit
+from repro.audit import AUDIT_RULES, run_audit
+from repro.lint.rules import rule_by_identifier
 
 from .conftest import FIXTURES
 
@@ -49,12 +50,12 @@ class TestRuleRegistry:
 
     def test_lookup_by_id_and_name(self):
         for rule in AUDIT_RULES:
-            assert audit_rule_by_identifier(rule.rule_id) is rule
-            assert audit_rule_by_identifier(rule.name) is rule
+            assert rule_by_identifier(rule.rule_id, AUDIT_RULES) is rule
+            assert rule_by_identifier(rule.name, AUDIT_RULES) is rule
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
-            audit_rule_by_identifier("RPL999")
+            rule_by_identifier("RPL999", AUDIT_RULES)
 
     def test_every_rule_has_fixture_tree_pair(self):
         for rule in AUDIT_RULES:

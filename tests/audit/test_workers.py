@@ -1,6 +1,6 @@
 """Worker discovery over fixture trees and the real source tree."""
 
-from repro.audit import Project, find_workers, run_audit
+from repro.audit import Project, find_workers
 
 from .conftest import FIXTURES
 
@@ -50,8 +50,8 @@ class TestFixtureDiscovery:
 
 
 class TestRealTree:
-    def test_all_thirteen_artifacts_covered(self):
-        report = run_audit(["src"])
+    def test_all_thirteen_artifacts_covered(self, real_tree):
+        report = real_tree["audit"]
         artifacts = {
             w.artifact for w in report.context.workers if w.role == "entry"
         }
@@ -61,7 +61,7 @@ class TestRealTree:
             "figure3", "figure4", "figure6", "figure7", "figure8",
         }
 
-    def test_real_tree_is_clean(self):
+    def test_real_tree_is_clean(self, real_tree):
         """The acceptance bar: the audit exits 0 on the committed tree."""
-        report = run_audit(["src"])
+        report = real_tree["audit"]
         assert report.findings == []

@@ -7,7 +7,9 @@ function-scoped.
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,28 @@ from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import Network, NetworkConfig
 from repro.topology.builder import build_paper_topology
 from repro.topology.topology import Topology
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def real_tree():
+    """Every analyzer tier over the real tree, run once per session.
+
+    Maps tier name (``lint``, ``audit``, ``vec``, ``flow``) to that
+    tier's report from the production ``repro-check`` plan over the
+    repo's default roots: one parse and one call graph shared by every
+    self-clean and committed-manifest test.  Read-only.
+    """
+    from repro.check import plan_tiers, run_tiers
+
+    cwd = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        return {tier.name: report for tier, report in run_tiers(plan_tiers())}
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ without keying or sanctioning ``foo`` fails here, not in production.
 
 import ast
 
-from repro.flow import build_manifest, run_flow
+from repro.flow import build_manifest
 
 from .conftest import REPO_ROOT
 
@@ -49,8 +49,10 @@ class TestRunnerForwarding:
         # plus these keywords; extending the CLI extends this set.
         assert {"seed", "fast", "jobs", "cache", "policy"} <= named
 
-    def test_every_forwarded_param_is_keyed_sanctioned_or_a_handle(self):
-        report = run_flow([REPO_ROOT / "src"])
+    def test_every_forwarded_param_is_keyed_sanctioned_or_a_handle(
+        self, real_tree
+    ):
+        report = real_tree["flow"]
         manifest = build_manifest(report)
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
@@ -79,11 +81,11 @@ class TestRunnerForwarding:
             "parameter's signature line"
         )
 
-    def test_influence_analysis_sees_every_named_forward(self):
+    def test_influence_analysis_sees_every_named_forward(self, real_tree):
         """Each forwarded knob must at least appear in run_experiment's
         signature — a renamed/removed parameter means the regression
         test (and the CLI) drifted from the boundary."""
-        report = run_flow([REPO_ROOT / "src"])
+        report = real_tree["flow"]
         signature_params = set(
             report.context.project.modules["repro.experiments"]
             .functions["run_experiment"]

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow import FLOW_RULES, flow_rule_by_identifier, run_flow
+from repro.lint.rules import rule_by_identifier
+from repro.flow import FLOW_RULES, run_flow
 
 from .conftest import FIXTURES, expected_findings
 
@@ -33,12 +34,12 @@ class TestRuleRegistry:
 
     def test_lookup_by_id_and_name(self):
         for rule in FLOW_RULES:
-            assert flow_rule_by_identifier(rule.rule_id) is rule
-            assert flow_rule_by_identifier(rule.name) is rule
+            assert rule_by_identifier(rule.rule_id, FLOW_RULES) is rule
+            assert rule_by_identifier(rule.name, FLOW_RULES) is rule
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
-            flow_rule_by_identifier("RPL999")
+            rule_by_identifier("RPL999", FLOW_RULES)
 
     def test_every_rule_has_fixture_tree_pair(self):
         for rule in FLOW_RULES:

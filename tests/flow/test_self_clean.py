@@ -1,6 +1,7 @@
 """The acceptance bar: the caching layer passes its own flow analysis.
 
-``repro-flow src --check-manifest`` must exit 0 on this tree — every
+The flow tier of ``repro-check --check-manifests`` must exit 0 on this
+tree — every
 result-influencing parameter of every cache boundary is either key
 material or carries a reasoned line sanction, every spec field enters
 the digest, and the committed ``FLOW_MANIFEST.json`` matches what the
@@ -13,6 +14,8 @@ PR 8 fix) must make RPL401 fire naming ``engine``.
 
 import shutil
 
+import pytest
+
 from repro.flow import build_manifest, diff_manifest, run_flow
 
 from .conftest import REPO_ROOT
@@ -21,27 +24,29 @@ EXPERIMENTS = REPO_ROOT / "src" / "repro" / "experiments" / "__init__.py"
 ENGINE_KEY_LINE = '        config["engine"] = engine\n'
 
 
-def _src_report():
-    return run_flow([REPO_ROOT / "src"])
+@pytest.fixture
+def src_report(real_tree):
+    """The flow report over ``src`` from the session's one analysis."""
+    return real_tree["flow"]
 
 
 class TestRepoSelfFlow:
-    def test_source_tree_is_clean(self):
-        report = _src_report()
+    def test_source_tree_is_clean(self, src_report):
+        report = src_report
         assert report.findings == [], "\n".join(
             f"{f.location()}: {f.rule_id} {f.message}"
             for f in report.findings
         )
 
-    def test_committed_manifest_is_current(self):
-        report = _src_report()
+    def test_committed_manifest_is_current(self, src_report):
+        report = src_report
         drift = diff_manifest(
             build_manifest(report), REPO_ROOT / "FLOW_MANIFEST.json"
         )
         assert drift is None, drift
 
-    def test_every_suppression_is_a_reviewed_boundary_param(self):
-        report = _src_report()
+    def test_every_suppression_is_a_reviewed_boundary_param(self, src_report):
+        report = src_report
         assert report.suppressed, "run_experiment keeps reviewed sanctions"
         assert {f.rule_id for f in report.suppressed} == {"RPL401"}
         assert len(report.suppressed) == 2
@@ -50,8 +55,8 @@ class TestRepoSelfFlow:
             for f in report.suppressed
         )
 
-    def test_run_experiment_boundary_account(self):
-        manifest = build_manifest(_src_report())
+    def test_run_experiment_boundary_account(self, src_report):
+        manifest = build_manifest(src_report)
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
         ]
@@ -59,8 +64,8 @@ class TestRepoSelfFlow:
             assert param in boundary["key_params"]
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
-    def test_scenario_spec_digest_is_complete_by_construction(self):
-        manifest = build_manifest(_src_report())
+    def test_scenario_spec_digest_is_complete_by_construction(self, src_report):
+        manifest = build_manifest(src_report)
         spec = manifest["digest_classes"]["repro.scenarios.spec.ScenarioSpec"]
         assert spec["complete_by_construction"] is True
         assert "engine" in spec["fields"]

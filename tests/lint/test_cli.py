@@ -1,10 +1,24 @@
-"""CLI contract tests: exit codes, filtering, formats, suppressions."""
+"""CLI contract of the lint tier: exit codes, filtering, formats, suppressions.
+
+Drives ``repro-check`` with the other three tiers skipped; the
+cross-tier behaviour of the one CLI lives in ``tests/check``.
+"""
 
 import json
 
 import pytest
 
-from repro.lint.cli import main
+from repro.check import main as check_main
+
+
+def main(argv):
+    """``repro-check`` restricted to the lint tier."""
+    return check_main(list(argv) + ["--skip", "audit,vec,flow"])
+
+
+def report_of(out):
+    """The lint tier's report out of the merged JSON envelope."""
+    return json.loads(out)["tools"]["lint"]["report"]
 
 CLEAN = "def f(x):\n    return x + 1\n"
 DIRTY = (
@@ -81,7 +95,7 @@ class TestRuleFiltering:
 class TestJsonFormat:
     def test_schema(self, tree, capsys):
         assert main([str(tree), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = report_of(capsys.readouterr().out)
         assert set(payload) == {"version", "findings", "summary"}
         assert payload["version"] == 1
         for finding in payload["findings"]:
@@ -100,7 +114,7 @@ class TestJsonFormat:
     def test_clean_json_still_valid(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN)
         assert main([str(tmp_path), "-f", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = report_of(capsys.readouterr().out)
         assert payload["findings"] == []
 
     def test_findings_sorted_and_deterministic(self, tree, capsys):
@@ -109,7 +123,7 @@ class TestJsonFormat:
         main([str(tree), "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
-        payload = json.loads(first)
+        payload = report_of(first)
         keys = [(f["path"], f["line"], f["col"], f["rule"]) for f in payload["findings"]]
         assert keys == sorted(keys)
 
@@ -118,17 +132,17 @@ class TestDefaultPaths:
     def test_default_path_list_pinned(self):
         """The production lint surface: source, benchmarks, tests, AND
         the runnable examples — scripts drift first when untested."""
-        from repro.lint.cli import _DEFAULT_PATHS
+        from repro.check import LINT_ROOTS
 
-        assert _DEFAULT_PATHS == ["src", "benchmarks", "tests", "examples"]
+        assert LINT_ROOTS == ("src", "benchmarks", "tests", "examples")
 
     def test_default_paths_all_exist(self):
         from pathlib import Path
 
-        from repro.lint.cli import _DEFAULT_PATHS
+        from repro.check import LINT_ROOTS
 
         repo_root = Path(__file__).resolve().parents[2]
-        for path in _DEFAULT_PATHS:
+        for path in LINT_ROOTS:
             assert (repo_root / path).is_dir(), path
 
 
@@ -154,60 +168,20 @@ class TestListRules:
         assert "not selectable" in out.lower() or "Not selectable" in out
 
     def test_listing_snapshot_is_stable(self, capsys):
-        """The listing is part of the CLI contract: pin its shape (one
-        id+summary line and one rationale line per rule, RPL900 entry,
-        suppression footer) so help output cannot drift silently."""
+        """The listing is part of the CLI contract: pin its shape (the
+        tier heading, one id+summary line and one rationale line per
+        rule, the tier note, the RPL900 section, the suppression footer)
+        so help output cannot drift silently."""
         from repro.lint import RULES
 
         main(["--list-rules"])
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "repro-lint rules:"
-        # one (header, rationale) pair per rule + the RPL900 pair.
-        body = lines[1:-1]
-        assert len(body) == 2 * (len(RULES) + 1)
+        assert lines[0] == "repro-check rules:"
+        assert lines[1] == "determinism lint, per-file (lint tier):"
+        body = lines[2 : 2 + 2 * len(RULES)]
         ids = [line.split()[0] for line in body[::2]]
-        assert ids == [rule.rule_id for rule in RULES] + ["RPL900"]
-        assert lines[-1].startswith("suppress a finding with")
-
-
-class TestParallelJobs:
-    """--jobs N must change wall-clock only, never the report."""
-
-    def test_jobs_report_matches_serial(self, tree):
-        from pathlib import Path
-
-        from repro.lint import lint_paths
-        from repro.lint.reporters import render_json, render_text
-
-        fixtures = Path(__file__).parent / "fixtures"
-        targets = [tree, fixtures]
-        serial = lint_paths(targets, suppressions="line")
-        parallel = lint_paths(targets, suppressions="line", jobs=4)
-        assert render_json(serial) == render_json(parallel)
-        assert render_text(serial) == render_text(parallel)
-
-    def test_jobs_preserves_discovery_order(self, tree):
-        from repro.lint import lint_paths
-
-        serial = lint_paths([tree])
-        parallel = lint_paths([tree], jobs=2)
-        assert [f.path for f in serial.files] == [
-            f.path for f in parallel.files
-        ]
-
-    def test_cli_jobs_same_exit_and_output(self, tree, capsys):
-        assert main([str(tree)]) == 1
-        serial_out = capsys.readouterr().out
-        assert main([str(tree), "--jobs", "4"]) == 1
-        parallel_out = capsys.readouterr().out
-        assert serial_out == parallel_out
-
-    def test_invalid_jobs_rejected(self, tree, capsys):
-        import pytest as _pytest
-
-        from repro.lint import lint_paths
-
-        assert main([str(tree), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        with _pytest.raises(ValueError):
-            lint_paths([tree], jobs=0)
+        assert ids == [rule.rule_id for rule in RULES]
+        assert "disable-file" in lines[2 + 2 * len(RULES)]
+        assert lines[-4] == "parse errors, shared by every tier:"
+        assert lines[-3].split()[0] == "RPL900"
+        assert lines[-1].startswith("suppress a finding on its line with")

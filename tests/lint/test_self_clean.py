@@ -1,39 +1,34 @@
 """The acceptance bar, machine-checked: the repo lints itself clean.
 
-``repro-lint src benchmarks tests examples`` must exit 0 on this tree —
-every true positive the rules find gets fixed (not suppressed), and the
-only standing directives are the documented fixture headers under
-``tests/lint/fixtures`` and ``tests/audit/fixtures`` plus
-reason-annotated line suppressions.
+The lint tier of ``repro-check`` (``src benchmarks tests examples``)
+must exit 0 on this tree — every true positive the rules find gets
+fixed (not suppressed), and the only standing directives are the
+documented fixture headers under ``tests/lint/fixtures`` and
+``tests/audit/fixtures`` plus reason-annotated line suppressions.
+
+The whole-tree reports come from the session-scoped ``real_tree``
+fixture: one analysis of the repo shared by every self-clean test.
 """
 
 from pathlib import Path
 
 from repro.lint import lint_paths
-from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-TARGETS = [
-    REPO_ROOT / "src",
-    REPO_ROOT / "benchmarks",
-    REPO_ROOT / "tests",
-    REPO_ROOT / "examples",
-]
 
 
 class TestRepoSelfLint:
-    def test_tree_is_clean(self):
-        report = lint_paths(TARGETS)
+    def test_tree_is_clean(self, real_tree):
+        report = real_tree["lint"]
         assert report.findings == [], "\n".join(
             f"{f.location()}: {f.rule_id} {f.message}" for f in report.findings
         )
 
-    def test_cli_exits_zero_on_tree(self, capsys):
-        assert main([str(target) for target in TARGETS]) == 0
-        capsys.readouterr()  # swallow the report
+    def test_cli_exits_zero_on_tree(self, real_tree):
+        assert real_tree["lint"].ok
 
-    def test_only_fixture_files_are_file_suppressed(self):
-        report = lint_paths(TARGETS)
+    def test_only_fixture_files_are_file_suppressed(self, real_tree):
+        report = real_tree["lint"]
         skipped = [f.path for f in report.files if f.file_suppressed]
         assert skipped, "the bad fixtures must exist and be skipped"
         assert all(
@@ -41,8 +36,8 @@ class TestRepoSelfLint:
             for path in skipped
         )
 
-    def test_lint_covers_the_whole_tree(self):
-        report = lint_paths(TARGETS)
+    def test_lint_covers_the_whole_tree(self, real_tree):
+        report = real_tree["lint"]
         linted = {f.path for f in report.files}
         assert any(path.endswith("repro/netsim/events.py") for path in linted)
         assert any(path.endswith("repro/parallel/trials.py") for path in linted)
@@ -63,13 +58,11 @@ class TestRepoSelfLint:
         (entry,) = report.files
         assert not entry.file_suppressed
 
-    def test_graph_engine_passes_the_whole_program_audit(self):
+    def test_graph_engine_passes_the_whole_program_audit(self, real_tree):
         """The CSR engine must also be clean under the RPL2xx
         whole-program audit (effect and seed-flow analysis), not just
         the per-file rules — its arrays flow into every cached trial."""
-        from repro.audit import run_audit
-
-        report = run_audit([str(REPO_ROOT / "src")])
+        report = real_tree["audit"]
         offenders = [
             f for f in report.findings if "netsim/graph" in f.location()
         ]

@@ -1,11 +1,20 @@
-"""``repro-vec`` CLI contract: exit codes, formats, the manifest gate."""
+"""CLI contract of the vec tier: exit codes, formats, the manifest gate.
+
+Drives ``repro-check`` with the other three tiers skipped; the
+cross-tier behaviour of the one CLI lives in ``tests/check``.
+"""
 
 import json
 
+from repro.check import main as check_main
 from repro.vec import build_manifest, render_manifest, run_vec
-from repro.vec.cli import main
 
 from .conftest import FIXTURES
+
+
+def main(argv):
+    """``repro-check`` restricted to the vec tier."""
+    return check_main(list(argv) + ["--skip", "lint,audit,flow"])
 
 
 class TestListRules:
@@ -51,36 +60,42 @@ class TestExitCodes:
 class TestJsonFormat:
     def test_findings_serialize(self, capsys):
         assert main(["--format", "json", str(FIXTURES / "rpl311_bad")]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["tools"]["vec"]["report"]
         rule_ids = {finding["rule"] for finding in payload["findings"]}
         assert rule_ids == {"RPL311"}
         assert payload["summary"]["by_rule"]["RPL311"] == 3
 
 
 class TestManifestGate:
-    def test_write_then_check_roundtrips(self, tmp_path, capsys):
-        manifest = tmp_path / "VEC_MANIFEST.json"
+    def test_write_then_check_roundtrips(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         tree = str(FIXTURES / "sanctioned")
-        assert main([tree, "--manifest", str(manifest), "--write-manifest"]) == 0
+        assert main([tree, "--write-manifests"]) == 0
+        assert (tmp_path / "VEC_MANIFEST.json").exists()
         capsys.readouterr()
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 0
-        out = capsys.readouterr().out
-        assert "is current" in out
+        assert main([tree, "--check-manifests"]) == 0
+        err = capsys.readouterr().err
+        assert "is current" in err
 
-    def test_drift_fails_the_gate_with_a_diff(self, tmp_path, capsys):
+    def test_drift_fails_the_gate_with_a_diff(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         manifest = tmp_path / "VEC_MANIFEST.json"
         tree = str(FIXTURES / "sanctioned")
         report = run_vec([tree])
         payload = build_manifest(report)
         payload["sanctioned_loops"] = []
         manifest.write_text(render_manifest(payload), encoding="utf-8")
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 1
+        assert main([tree, "--check-manifests"]) == 1
         captured = capsys.readouterr()
         assert "manifest drift" in captured.err
         assert "RPL311" in captured.err
 
-    def test_missing_manifest_fails_the_gate(self, tmp_path, capsys):
-        manifest = tmp_path / "VEC_MANIFEST.json"
+    def test_missing_manifest_fails_the_gate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         tree = str(FIXTURES / "sanctioned")
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 1
-        capsys.readouterr()
+        assert main([tree, "--check-manifests"]) == 1
+        assert "manifest drift" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.vec import VEC_RULES, run_vec, vec_rule_by_identifier
+from repro.lint.rules import rule_by_identifier
+from repro.vec import VEC_RULES, run_vec
 
 from .conftest import FIXTURES, expected_findings
 
@@ -37,12 +38,12 @@ class TestRuleRegistry:
 
     def test_lookup_by_id_and_name(self):
         for rule in VEC_RULES:
-            assert vec_rule_by_identifier(rule.rule_id) is rule
-            assert vec_rule_by_identifier(rule.name) is rule
+            assert rule_by_identifier(rule.rule_id, VEC_RULES) is rule
+            assert rule_by_identifier(rule.name, VEC_RULES) is rule
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
-            vec_rule_by_identifier("RPL999")
+            rule_by_identifier("RPL999", VEC_RULES)
 
     def test_every_rule_has_fixture_tree_pair(self):
         for rule in VEC_RULES:
