@@ -16,7 +16,7 @@ drown the signal.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Pattern, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..audit.callgraph import CallGraph
 from ..audit.project import MODULE_BODY, FunctionNode, Project
@@ -37,22 +37,17 @@ HOT_ENTRY_METHODS = frozenset(
 HOT_MODULE_RE = re.compile(r"(^|\.)netsim(\.|$)")
 
 
-def hot_roots(
-    project: Project,
-    module_re: Pattern = HOT_MODULE_RE,
-    entry_methods: Iterable[str] = HOT_ENTRY_METHODS,
-) -> List[FunctionNode]:
+def hot_roots(project: Project) -> List[FunctionNode]:
     """Engine entry points, sorted by fully qualified name."""
-    names = frozenset(entry_methods)
     roots: List[FunctionNode] = []
     for record in project.modules.values():
-        if not module_re.search(record.name):
+        if not HOT_MODULE_RE.search(record.name):
             continue
         for fn in record.functions.values():
             if fn.qualname == MODULE_BODY:
                 continue
             terminal = fn.qualname.rsplit(".", 1)[-1]
-            if terminal in names:
+            if terminal in HOT_ENTRY_METHODS:
                 roots.append(fn)
     return sorted(roots, key=lambda fn: fn.fq)
 
